@@ -28,7 +28,10 @@ sequences and lengths, gating a ≥3× reduction in the share of wall
 clock spent reclassifying, and failing if either route exceeds
 ``--scale-ceiling`` seconds; then the 100× design (X2P1, incremental
 reclassify only) must route under ``--scale-x2-ceiling`` seconds with
-local bridge recomputes covering ≥90% of its deletions.
+local bridge recomputes covering ≥90% of its deletions.  Both
+incremental routes are then checked by ``verify_routing`` with the
+router's feedthrough assignment: any finding fails, and so does a verify
+wall above 25% of that design's ``route()`` wall.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.bench.circuits import (
     small_suite,
     standard_suite,
 )
-from repro.core import GlobalRouter, RouterConfig
+from repro.core import GlobalRouter, RouterConfig, verify_routing
 from repro.obs import MemorySink
 from repro.routegraph.graph import RoutingGraph
 
@@ -69,10 +72,18 @@ REQUIRED_RECLASSIFY_SHARE_REDUCTION = 3.0
 # At scale, nearly every deletion must stay on the local path; full
 # fallbacks are the defensive escape hatch, not a steady state.
 REQUIRED_LOCAL_RATIO = 0.90
+# The verifier checks every scale route, and must stay cheap next to
+# the route it checks: a same-process ratio, robust to machine speed
+# (~5% measured on X1P1).
+MAX_VERIFY_SHARE = 0.25
 
 
-def route_once(spec, engine):
-    """Route one design under one engine; returns comparable artifacts."""
+def route_once(spec, engine, verify=False):
+    """Route one design under one engine; returns comparable artifacts.
+
+    With ``verify``, also runs :func:`verify_routing` against the
+    router's feedthrough assignment and records its findings and wall.
+    """
     dataset = make_dataset(spec)
     sink = MemorySink()
     router = GlobalRouter(
@@ -89,9 +100,18 @@ def route_once(spec, engine):
         (e.data["net"], e.data["edge"], e.data["criterion"])
         for e in sink.of_kind("edge_deleted")
     ]
+    findings, verify_wall = [], 0.0
+    if verify:
+        start = time.perf_counter()
+        findings = verify_routing(
+            dataset.circuit, dataset.placement, result, router.assignment
+        )
+        verify_wall = time.perf_counter() - start
     flat = router.metrics.flat()
     return {
         "wall_s": wall,
+        "verify_wall_s": verify_wall,
+        "findings": findings,
         "sequence": sequence,
         "deletions": result.deletions,
         "total_length_um": result.total_length_um,
@@ -204,14 +224,31 @@ def wall_speedup(rescan, incremental):
     return rescan["wall_s"] / max(1e-9, incremental["wall_s"])
 
 
-def route_reclassify_mode(spec, incremental_reclassify):
+def route_reclassify_mode(spec, incremental_reclassify, verify=False):
     """route_once under a pinned reclassification path."""
     previous = RoutingGraph.incremental_reclassify
     RoutingGraph.incremental_reclassify = incremental_reclassify
     try:
-        return route_once(spec, "incremental")
+        return route_once(spec, "incremental", verify=verify)
     finally:
         RoutingGraph.incremental_reclassify = previous
+
+
+def check_verified(name, run):
+    """Print a verified run's verify wall; fail on findings or a verify
+    wall above MAX_VERIFY_SHARE of the route wall."""
+    share = run["verify_wall_s"] / max(1e-9, run["wall_s"])
+    print(
+        f"{name:6s} verify {run['verify_wall_s']:6.2f}s "
+        f"({share:5.1%} of route)  findings {len(run['findings'])}"
+    )
+    failures = [f"{name}: verify: {finding}" for finding in run["findings"]]
+    if share > MAX_VERIFY_SHARE:
+        failures.append(
+            f"{name}: verify took {share:.1%} of route wall (max "
+            f"{MAX_VERIFY_SHARE:.0%})"
+        )
+    return failures
 
 
 def scale_smoke(ceiling_s, x2_ceiling_s):
@@ -234,7 +271,7 @@ def scale_smoke(ceiling_s, x2_ceiling_s):
     spec = specs["X1P1"]
     print(f"scale-tier smoke: {spec.name} (ceiling {ceiling_s:.0f}s)")
     reference = route_reclassify_mode(spec, False)
-    run = route_reclassify_mode(spec, True)
+    run = route_reclassify_mode(spec, True, verify=True)
     for label, r in (("reference", reference), ("incremental", run)):
         print(
             f"{spec.name:6s} [{label:11s}] dels {r['deletions']:5d}  "
@@ -276,10 +313,11 @@ def scale_smoke(ceiling_s, x2_ceiling_s):
                 f"{spec.name} ({label}): wall {r['wall_s']:.1f}s exceeds "
                 f"the {ceiling_s:.0f}s ceiling"
             )
+    failures += check_verified(spec.name, run)
 
     spec = specs["X2P1"]
     print(f"scale-tier smoke: {spec.name} (ceiling {x2_ceiling_s:.0f}s)")
-    run = route_reclassify_mode(spec, True)
+    run = route_reclassify_mode(spec, True, verify=True)
     ratio = local_ratio(run)
     print(
         f"{spec.name:6s} dels {run['deletions']:5d}  "
@@ -297,6 +335,7 @@ def scale_smoke(ceiling_s, x2_ceiling_s):
             f"{spec.name}: local recomputes cover only {ratio:.1%} of "
             f"reclassifications (required {REQUIRED_LOCAL_RATIO:.0%})"
         )
+    failures += check_verified(spec.name, run)
 
     if failures:
         print("\nFAIL:", file=sys.stderr)
@@ -305,7 +344,8 @@ def scale_smoke(ceiling_s, x2_ceiling_s):
         return 1
     print(
         "ok: scale designs routed under the wall ceilings, bit-identical "
-        "reclassification, share reduction and local ratio within bars"
+        "reclassification, share reduction and local ratio within bars, "
+        "verified clean"
     )
     return 0
 

@@ -26,12 +26,31 @@ bug there can double-adopt a wire or under-report density — inflating
 wire length or shrinking the floorplan — while still passing checks
 1-6.  The verifier must not trust any engine's bookkeeping.
 
+Cost is linear in the result, up to one sort per net.  With E edges,
+W physical wires and A attachments in a net:
+
+* completeness, geometry, length, uniqueness — O(E) per net; the chip
+  width is read once per call (O(rows), from each row's last cell);
+* tree legality — O(W log W + A log W) per net: each channel's wires are
+  swept in ``lo`` order, and a through-cell attachment is one bisect
+  into its channel's runs;
+* terminal coverage — O(pins) per net; slot exclusivity — O(branches +
+  granted columns) per net;
+* density — O(trunks) plus one O(width) prefix sum per channel.
+
+The earlier verifier recomputed the chip width from every cell for each
+net and compared every pair of wires: on the 10x scale design X1P1
+(5522 nets, ~99k cells) it took 80 s against a 23 s ``route()``; it now
+takes ~1 s (2-core container).
+
 Violations come back as a list of human-readable strings (empty = clean),
 so the checker slots directly into tests, CI, and post-run sanity checks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..layout.feedthrough import FeedthroughAssignment
@@ -39,6 +58,9 @@ from ..layout.placement import Placement
 from ..netlist.circuit import Circuit, Terminal
 from ..routegraph.graph import EdgeKind
 from .result import GlobalRoutingResult, NetRoute
+
+# Physical metal; correspondence edges are zero-length bookkeeping hops.
+_WIRE_KINDS = (EdgeKind.TRUNK, EdgeKind.BRANCH)
 
 
 def verify_routing(
@@ -57,13 +79,14 @@ def verify_routing(
     for name in sorted(extra):
         violations.append(f"net {name}: routed but not routable")
 
+    width = placement.width_columns
     slot_owner: Dict[Tuple[int, int], str] = {}
     for name in sorted(result.routes):
         if name not in routable:
             continue
         route = result.routes[name]
         net = circuit.net(name)
-        violations.extend(_check_geometry(route, placement))
+        violations.extend(_check_geometry(route, placement, width))
         violations.extend(_check_tree(route))
         violations.extend(_check_terminals(route, net, placement))
         violations.extend(_check_length(route))
@@ -72,14 +95,15 @@ def verify_routing(
             violations.extend(
                 _check_slots(route, net, assignment, slot_owner)
             )
-    violations.extend(_check_density(result, placement))
+    violations.extend(_check_density(result, placement, width))
     return violations
 
 
 # ----------------------------------------------------------------------
-def _check_geometry(route: NetRoute, placement: Placement) -> List[str]:
+def _check_geometry(
+    route: NetRoute, placement: Placement, width: int
+) -> List[str]:
     problems = []
-    width = placement.width_columns
     for edge in route.edges:
         if not (0 <= edge.channel < placement.n_channels):
             problems.append(
@@ -109,10 +133,13 @@ def _check_tree(route: NetRoute) -> List[str]:
     stacked through adjacent rows at one column.  Pins connecting
     segments *through a cell* (a terminal reachable from both adjacent
     channels) also merge the wires at that pin's column.
+
+    Within one channel "touches" is closed-interval overlap, so the
+    wires reaching a channel form an interval graph whose components
+    are the runs of a sweep in ``lo`` order: O(W log W) per net instead
+    of comparing every pair of wires.
     """
-    trunks = [e for e in route.edges if e.kind is EdgeKind.TRUNK]
-    branches = [e for e in route.edges if e.kind is EdgeKind.BRANCH]
-    wires = trunks + branches
+    wires = [e for e in route.edges if e.kind in _WIRE_KINDS]
     if len(wires) <= 1:
         return []
 
@@ -127,37 +154,52 @@ def _check_tree(route: NetRoute) -> List[str]:
     def union(i: int, j: int) -> None:
         parent[find(i)] = find(j)
 
-    def channels_of(edge) -> Tuple[int, ...]:
-        if edge.kind is EdgeKind.TRUNK:
-            return (edge.channel,)
-        return (edge.channel, edge.channel + 1)
+    # Every wire under each channel it reaches: a trunk its own channel,
+    # a branch the channels below and above the row it crosses.
+    by_channel: Dict[int, List[Tuple[int, int, int]]] = {}
+    for index, wire in enumerate(wires):
+        span = (wire.interval.lo, wire.interval.hi, index)
+        by_channel.setdefault(wire.channel, []).append(span)
+        if wire.kind is EdgeKind.BRANCH:
+            by_channel.setdefault(wire.channel + 1, []).append(span)
 
-    def touches(a, b) -> bool:
-        shared = set(channels_of(a)) & set(channels_of(b))
-        if not shared:
-            return False
-        return a.interval.overlaps(b.interval)
-
-    for i in range(len(wires)):
-        for j in range(i + 1, len(wires)):
-            if touches(wires[i], wires[j]):
-                union(i, j)
+    # Sweep each channel in lo order; a wire starting at or before the
+    # current run's rightmost column overlaps some wire of the run.
+    # Each run keeps its hull and one member for the attachment merge.
+    runs: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
+    for channel, spans in by_channel.items():
+        spans.sort()
+        los: List[int] = []
+        his: List[int] = []
+        members: List[int] = []
+        for lo, hi, index in spans:
+            if his and lo <= his[-1]:
+                union(index, members[-1])
+                his[-1] = max(his[-1], hi)
+            else:
+                los.append(lo)
+                his.append(hi)
+                members.append(index)
+        runs[channel] = (los, his, members)
 
     # A pin reachable from both adjacent channels merges wires at its
-    # column (the route crosses through the cell).
-    columns_with_attachments: Dict[int, List[int]] = {}
+    # column (the route crosses through the cell).  The wires of one
+    # channel covering a column all lie in one run, so one lookup per
+    # attached channel finds them.
+    channels_at: Dict[int, Set[int]] = {}
     for attachment in route.attachments:
-        columns_with_attachments.setdefault(
-            attachment.column, []
-        ).append(attachment.channel)
-    for column, channels in columns_with_attachments.items():
+        channels_at.setdefault(attachment.column, set()).add(
+            attachment.channel
+        )
+    for column, channels in channels_at.items():
         incident: List[int] = []
-        for channel in set(channels):
-            for index, wire in enumerate(wires):
-                if channel in channels_of(wire) and wire.interval.contains(
-                    column
-                ):
-                    incident.append(index)
+        for channel in channels:
+            if channel not in runs:
+                continue
+            los, his, members = runs[channel]
+            k = bisect_right(los, column) - 1
+            if k >= 0 and column <= his[k]:
+                incident.append(members[k])
         for a, b in zip(incident, incident[1:]):
             union(a, b)
 
@@ -210,7 +252,7 @@ def _check_duplicates(route: NetRoute) -> List[str]:
     seen: Set[Tuple[EdgeKind, int, int, int]] = set()
     problems = []
     for edge in route.edges:
-        if edge.kind not in (EdgeKind.TRUNK, EdgeKind.BRANCH):
+        if edge.kind not in _WIRE_KINDS:
             continue
         key = (edge.kind, edge.channel, edge.interval.lo, edge.interval.hi)
         if key in seen:
@@ -224,7 +266,7 @@ def _check_duplicates(route: NetRoute) -> List[str]:
 
 
 def _check_density(
-    result: GlobalRoutingResult, placement: Placement
+    result: GlobalRoutingResult, placement: Placement, width: int
 ) -> List[str]:
     """The reported peak density must cover the actual trunk coverage.
 
@@ -238,7 +280,7 @@ def _check_density(
     under-reported density — an under-sized floorplan — never a
     representation difference.
     """
-    width = max(1, placement.width_columns)
+    width = max(1, width)
     coverage: Dict[int, List[int]] = {}
     for name in sorted(result.routes):
         route = result.routes[name]
@@ -255,10 +297,7 @@ def _check_density(
                     diff[hi] -= weight
     problems = []
     for channel in sorted(coverage):
-        peak = running = 0
-        for delta in coverage[channel][:-1]:
-            running += delta
-            peak = max(peak, running)
+        peak = max(0, max(accumulate(coverage[channel][:-1])))
         reported = result.channel_peak_density.get(channel, 0)
         if peak > reported:
             problems.append(

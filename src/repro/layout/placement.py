@@ -86,16 +86,29 @@ class Placement:
 
     @property
     def width_columns(self) -> int:
-        """Chip width in columns: the widest row's extent."""
-        widths = [
-            sum(cell.width for cell in row) for row in self.rows
-        ]
-        return max(widths) if widths else 0
+        """Chip width in columns: the widest row's extent.
+
+        O(rows): rows are packed from column 0 with no gaps, so a row
+        ends where its last cell does.  Every mutator below keeps the
+        packed positions current; code that edits ``rows`` directly
+        must call :meth:`refresh` first.
+        """
+        return max(
+            (self._row_end(row) for row in range(len(self.rows))),
+            default=0,
+        )
 
     def row_width(self, row: int) -> int:
         """Occupied width of one row."""
         self._check_row(row)
-        return sum(cell.width for cell in self.rows[row])
+        return self._row_end(row)
+
+    def _row_end(self, row: int) -> int:
+        cells = self.rows[row]
+        if not cells:
+            return 0
+        last = cells[-1]
+        return self._position[last.name][1] + last.width
 
     # ------------------------------------------------------------------
     # Lookups

@@ -91,6 +91,9 @@ MAX_BODY_BYTES = 1 << 20
 #: Terminal job states.
 _TERMINAL = ("done", "failed")
 
+#: How long :meth:`ServiceThread.stop` waits for the loop thread.
+STOP_TIMEOUT_S = 60.0
+
 
 @dataclass
 class ServiceConfig:
@@ -904,6 +907,7 @@ class ServiceThread:
         return f"http://{self.service.config.host}:{self.service.port}"
 
     def stop(self, drain: bool = True) -> None:
+        """Drain and stop; raises if the loop thread outlives the join."""
         if self._loop is None or self._stop_event is None:
             return
         self.drain = drain
@@ -912,7 +916,12 @@ class ServiceThread:
         except RuntimeError:
             return
         if self._thread is not None:
-            self._thread.join(timeout=60.0)
+            self._thread.join(timeout=STOP_TIMEOUT_S)
+            if self._thread.is_alive():
+                raise RuntimeError(
+                    f"service thread {self._thread.name} did not stop "
+                    f"within {STOP_TIMEOUT_S:.0f}s"
+                )
 
     def __enter__(self) -> "ServiceThread":
         return self.start()

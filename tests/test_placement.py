@@ -238,3 +238,53 @@ class TestInsertCellBlocks:
         placement = Placement(circuit, [[a, b]])
         with pytest.raises(PlacementError):
             placement.insert_cell_blocks(0, [(7, [feed])])
+
+
+class TestWidthColumns:
+    """The O(rows) width reads each row's last packed cell; it must equal
+    the widest row's summed cell widths after every mutator."""
+
+    @staticmethod
+    def assert_width(placement):
+        widths = [sum(cell.width for cell in row) for row in placement.rows]
+        assert placement.width_columns == max(widths)
+        for row, width in enumerate(widths):
+            assert placement.row_width(row) == width
+
+    def test_empty_row(self, circuit):
+        placement = Placement(circuit, [[circuit.cell("a")], []])
+        self.assert_width(placement)
+        assert placement.width_columns == 5
+
+    def test_after_each_mutator(self, circuit):
+        a, b, d, f = (circuit.cell(n) for n in "abdf")
+        placement = Placement(circuit, [[a, b], [d]])
+        self.assert_width(placement)
+        wide = circuit.add_cell("w", "DFF")
+        placement.insert_cells(0, 2, [wide])       # new last cell
+        self.assert_width(placement)
+        feeds = [circuit.add_cell(f"nf{i}", "FEED") for i in range(3)]
+        placement.insert_cell_blocks(1, [(1, feeds[1:]), (0, feeds[:1])])
+        self.assert_width(placement)
+        # rows: [a, b, w], [nf0, d, nf1, nf2]
+        placement.swap_cells(wide, d)   # equal width, across rows
+        self.assert_width(placement)
+        # rows: [a, b, d], [nf0, w, nf1, nf2]
+        placement.swap_cells(d, b)      # adjacent, new last cell
+        self.assert_width(placement)
+        assert placement.rows[0][-1] is b
+        placement.insert_cells(0, 0, [f])
+        self.assert_width(placement)
+
+    def test_after_anneal(self, library):
+        from repro.bench.circuits import CircuitSpec, generate_circuit
+        from repro.layout.anneal import AnnealConfig, anneal_placement
+        from repro.layout.placer import PlacerConfig, place_circuit
+
+        circuit = generate_circuit(CircuitSpec(
+            "w", n_gates=30, n_flops=4, n_inputs=4, n_outputs=3, seed=5,
+        ))
+        placement = place_circuit(circuit, PlacerConfig(n_rows=4))
+        self.assert_width(placement)
+        anneal_placement(circuit, placement, AnnealConfig(max_moves=400))
+        self.assert_width(placement)

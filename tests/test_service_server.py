@@ -313,13 +313,15 @@ class TestQuotasAndBackpressure:
 
     def test_full_queue_is_429(self, tmp_path):
         gate = threading.Event()
-        try:
-            with ServiceThread(
-                make_service(
-                    tmp_path, FakeRunner(gate),
-                    workers=1, max_queue_depth=1,
-                )
-            ) as thread:
+        with ServiceThread(
+            make_service(
+                tmp_path, FakeRunner(gate),
+                workers=1, max_queue_depth=1,
+            )
+        ) as thread:
+            # Release the pinned job before the drain in __exit__ waits
+            # for it.
+            try:
                 client = ServiceClient(thread.base_url)
                 # One running (pinned by the gate), one queued = full.
                 client.submit({"kind": "route", "dataset": "S1P1"})
@@ -342,8 +344,36 @@ class TestQuotasAndBackpressure:
                         )
                         time.sleep(0.01)
                 assert excinfo.value.status == 429
+            finally:
+                gate.set()
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("repro-service")
+        ]
+
+    def test_stop_raises_when_the_join_expires(self, tmp_path, monkeypatch):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "STOP_TIMEOUT_S", 0.2)
+        gate = threading.Event()
+        runner = FakeRunner(gate)
+        thread = ServiceThread(make_service(tmp_path, runner, workers=1))
+        thread.start()
+        try:
+            ServiceClient(thread.base_url).submit(
+                {"kind": "route", "dataset": "S1P1"}
+            )
+            deadline = time.monotonic() + 10.0
+            while not runner.calls and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert runner.calls
+            # The drain waits on the pinned job, so the join expires.
+            with pytest.raises(RuntimeError, match="repro-service-loop"):
+                thread.stop()
         finally:
             gate.set()
+        thread._thread.join(timeout=30.0)
+        assert not thread._thread.is_alive()
 
 
 class TestEventStreaming:
