@@ -31,7 +31,11 @@ reclassify only) must route under ``--scale-x2-ceiling`` seconds with
 local bridge recomputes covering ≥90% of its deletions.  Both
 incremental routes are then checked by ``verify_routing`` with the
 router's feedthrough assignment: any finding fails, and so does a verify
-wall above 25% of that design's ``route()`` wall.
+wall above 25% of that design's ``route()`` wall.  The incremental X1P1
+route also gates the design-wide graph build: the profiler's
+``setup/graphs`` phase must stay within 5% of that route's wall, and
+every X1P1 net's batch-built graph must equal the per-net reference
+build (``tests/routegraph_oracle.py``).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from repro.analysis.run_diff import BENCH_SELECTION_SCHEMA
 from repro.bench.circuits import (
@@ -51,6 +56,9 @@ from repro.bench.circuits import (
 from repro.core import GlobalRouter, RouterConfig, verify_routing
 from repro.obs import MemorySink
 from repro.routegraph.graph import RoutingGraph
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from routegraph_oracle import lockstep_mismatches  # noqa: E402
 
 LARGEST = "C3P1"
 REQUIRED_SPEEDUP = 5.0
@@ -76,6 +84,10 @@ REQUIRED_LOCAL_RATIO = 0.90
 # the route it checks: a same-process ratio, robust to machine speed
 # (~5% measured on X1P1).
 MAX_VERIFY_SHARE = 0.25
+# The design-wide graph build (profiler phase setup/graphs) must stay a
+# small slice of the X1P1 route: a same-process ratio (~3.5% measured;
+# the per-net build it replaced took ~14%).
+MAX_GRAPH_BUILD_SHARE = 0.05
 
 
 def route_once(spec, engine, verify=False):
@@ -110,6 +122,7 @@ def route_once(spec, engine, verify=False):
     flat = router.metrics.flat()
     return {
         "wall_s": wall,
+        "graphs_wall_s": router.profiler.wall_s("route", "setup", "graphs"),
         "verify_wall_s": verify_wall,
         "findings": findings,
         "sequence": sequence,
@@ -251,6 +264,45 @@ def check_verified(name, run):
     return failures
 
 
+def check_graph_build(spec, run):
+    """Gate X1P1's design-wide graph build: its share of the route wall,
+    and lockstep identity with the per-net reference on every net."""
+    failures = []
+    share = run["graphs_wall_s"] / max(1e-9, run["wall_s"])
+    print(
+        f"{spec.name:6s} setup/graphs {run['graphs_wall_s']:6.2f}s "
+        f"({share:5.1%} of route)"
+    )
+    if share > MAX_GRAPH_BUILD_SHARE:
+        failures.append(
+            f"{spec.name}: setup/graphs took {share:.1%} of route wall "
+            f"(max {MAX_GRAPH_BUILD_SHARE:.0%})"
+        )
+    dataset = make_dataset(spec)
+    router = GlobalRouter(
+        dataset.circuit, dataset.placement, dataset.constraints,
+        RouterConfig(),
+    )
+    router.begin_route()
+    router._build_timing()
+    router._assign_pins_and_feedthroughs()
+    nets = router.circuit.routable_nets
+    mismatched = lockstep_mismatches(
+        nets, router.placement, router.assignment.of_net,
+        router.config.technology,
+    )
+    print(
+        f"{spec.name:6s} lockstep builder check: {len(nets)} nets, "
+        f"{len(mismatched)} differ from the per-net reference"
+    )
+    if mismatched:
+        failures.append(
+            f"{spec.name}: batch graphs differ from the per-net reference "
+            f"for {mismatched[:5]}"
+        )
+    return failures
+
+
 def scale_smoke(ceiling_s, x2_ceiling_s):
     """Route the scale-tier designs under wall-time ceilings.
 
@@ -314,6 +366,7 @@ def scale_smoke(ceiling_s, x2_ceiling_s):
                 f"the {ceiling_s:.0f}s ceiling"
             )
     failures += check_verified(spec.name, run)
+    failures += check_graph_build(spec, run)
 
     spec = specs["X2P1"]
     print(f"scale-tier smoke: {spec.name} (ceiling {x2_ceiling_s:.0f}s)")
@@ -345,7 +398,8 @@ def scale_smoke(ceiling_s, x2_ceiling_s):
     print(
         "ok: scale designs routed under the wall ceilings, bit-identical "
         "reclassification, share reduction and local ratio within bars, "
-        "verified clean"
+        "verified clean, X1P1 graph build within its share and in "
+        "lockstep with the per-net reference"
     )
     return 0
 

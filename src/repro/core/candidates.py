@@ -45,8 +45,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..routegraph.graph import EdgeKind
 from .criteria import evaluate_delay_criteria_batch
-from .density import coverage_columns
+from .density import coverage_range
 from .selection import SelectionMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -152,18 +153,26 @@ class CandidateEngine:
         sensitive: List[bool] = []
         for state in states:
             graph = state.graph
+            deletable = graph.deletable_edges()
+            if not deletable:
+                continue
             net_rank = rank[state.net.name]
             is_sensitive = timing_driven and state.context.constrained
-            for edge_id in graph.deletable_edges():
-                edge = graph.edges[edge_id]
-                c_lo, c_hi = coverage_columns(edge)
+            kinds, _, _, edge_channel, edge_lo, edge_hi, lengths = (
+                graph.edge_columns()
+            )
+            for edge_id in deletable:
+                kind = kinds[edge_id]
+                c_lo, c_hi = coverage_range(
+                    kind, edge_lo[edge_id], edge_hi[edge_id]
+                )
                 row_state.append(state)
                 edge_ids.append(edge_id)
-                channels.append(edge.channel)
+                channels.append(edge_channel[edge_id])
                 lo.append(c_lo)
                 hi.append(c_hi)
-                trunks.append(0 if edge.is_trunk else 1)
-                neglen.append(-edge.length_um)
+                trunks.append(0 if kind is EdgeKind.TRUNK else 1)
+                neglen.append(-lengths[edge_id])
                 ranks.append(net_rank)
                 sensitive.append(is_sensitive)
 

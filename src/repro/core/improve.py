@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
-from ..routegraph.graph import EdgeKind
-from .density import coverage_columns
+import numpy as np
+
+from .density import trunk_coverage
 from .selection import SelectionMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,26 +157,20 @@ def _congested_nets(router: "GlobalRouter") -> List[str]:
     stats = engine.channel_stats(channel)
     if stats.c_max == 0:
         return []
-    peak_columns = {
-        column
-        for column in range(engine.width_columns)
-        if engine.d_max[channel][column] == stats.c_max
-    }
+    # peaks_before[x]: peak columns left of column x.
+    peaks_before = np.zeros(engine.width_columns + 1, dtype=np.int64)
+    np.cumsum(engine.d_max[channel] == stats.c_max, out=peaks_before[1:])
     scored = []
     for name in sorted(router.states):
         state = router.states[name]
         if state.is_follower:
             continue
-        coverage = 0
-        for edge in state.graph.alive_edges():
-            if edge.kind is not EdgeKind.TRUNK or edge.channel != channel:
-                continue
-            # Same coverage convention as DensityEngine: a zero-span
-            # trunk (lo == hi) still occupies its lo column.
-            lo, hi = coverage_columns(edge)
-            coverage += sum(
-                1 for column in peak_columns if lo <= column <= hi
-            )
+        channels, lo, hi, _ = state.graph.alive_trunks()
+        here = channels == channel
+        # Same coverage convention as DensityEngine: a zero-span trunk
+        # (lo == hi) still occupies its lo column.
+        lo, hi = trunk_coverage(lo[here], hi[here])
+        coverage = int((peaks_before[hi + 1] - peaks_before[lo]).sum())
         if coverage:
             scored.append((coverage, name))
     scored.sort(key=lambda pair: (-pair[0], pair[1]))

@@ -14,8 +14,16 @@ from __future__ import annotations
 import functools
 import math
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from contextlib import contextmanager, nullcontext
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+)
 
 
 class Counter:
@@ -29,6 +37,25 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
+
+
+class NullCounter:
+    """Do-nothing stand-in for a :class:`Counter`: code that counts into
+    an optional registry holds this by default, so an uninstrumented run
+    pays one attribute lookup and a no-op call per event."""
+
+    __slots__ = ()
+
+    def inc(self, amount: int = 1) -> None:  # pragma: no cover - trivial
+        pass
+
+
+NULL_COUNTER = NullCounter()
+
+
+def null_timer() -> ContextManager[None]:
+    """Do-nothing stand-in for ``partial(registry.timer, name)``."""
+    return nullcontext()
 
 
 class Gauge:

@@ -51,6 +51,7 @@ def collect_union(
     ``total_length_um``, is bit-identical between the two.
     """
     driver = graph.driver_vertex
+    edge_u, edge_v = graph.edge_u, graph.edge_v
     terminal_path_um: Dict[int, float] = {}
     edge_ids: Set[int] = set()
     for terminal in graph.terminal_vertices:
@@ -67,9 +68,11 @@ def collect_union(
             if edge_id in edge_ids:
                 break  # joined an already-collected path
             edge_ids.add(edge_id)
-            vertex = graph.edges[edge_id].other(vertex)
+            u = edge_u[edge_id]
+            vertex = edge_v[edge_id] if vertex == u else u
 
-    total = sum(graph.edges[e].length_um for e in edge_ids)
+    lengths = graph.edge_length
+    total = sum(lengths[e] for e in edge_ids)
     return TentativeTree(edge_ids, total, terminal_path_um)
 
 
@@ -81,7 +84,7 @@ def compute_tentative_tree(
     Returns ``None`` when some terminal is unreachable (which can only
     happen when ``skip_edge`` is an essential edge).
     """
-    n = len(graph.vertices)
+    n = graph.n_vertices
     dist = [math.inf] * n
     parent_edge: List[int] = [-1] * n
     driver = graph.driver_vertex

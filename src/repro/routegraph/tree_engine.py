@@ -44,27 +44,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from contextlib import nullcontext
 from typing import Callable, ContextManager, Dict, List, Optional, Sequence
 
+from ..obs.metrics import NULL_COUNTER, null_timer
 from .graph import RoutingGraph
 from .tentative_tree import ESTIMATORS, TentativeTree, collect_union
-
-
-class _NullCounter:
-    """Stand-in for an obs counter when no registry is attached."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:  # pragma: no cover - trivial
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-
-
-def _null_timer() -> ContextManager[None]:
-    return nullcontext()
 
 
 def tree_graph_labels(
@@ -81,7 +65,7 @@ def tree_graph_labels(
     no priority queue.  Feed the result to :func:`collect_union`.
     """
     indptr, nbr_vertex, nbr_edge, nbr_length = graph.csr_lists()
-    n = len(graph.vertices)
+    n = graph.n_vertices
     dist: List[float] = [math.inf] * n
     parent_edge: List[int] = [-1] * n
     driver = graph.driver_vertex
@@ -117,7 +101,7 @@ def dijkstra_to_terminals(
     tests).  Returns ``None`` when some terminal is unreachable.
     """
     indptr, nbr_vertex, nbr_edge, nbr_length = graph.csr_lists()
-    n = len(graph.vertices)
+    n = graph.n_vertices
     dist: List[float] = [math.inf] * n
     parent_edge: List[int] = [-1] * n
     driver = graph.driver_vertex
@@ -162,12 +146,12 @@ class FullTreeEngine:
         graph: RoutingGraph,
         estimator: str = "spt",
         *,
-        evals=_NULL_COUNTER,
-        fastpath_hits=_NULL_COUNTER,
-        dijkstra_runs=_NULL_COUNTER,
-        dijkstra_repeats=_NULL_COUNTER,
-        traversals=_NULL_COUNTER,
-        timer: Callable[[], ContextManager[None]] = _null_timer,
+        evals=NULL_COUNTER,
+        fastpath_hits=NULL_COUNTER,
+        dijkstra_runs=NULL_COUNTER,
+        dijkstra_repeats=NULL_COUNTER,
+        traversals=NULL_COUNTER,
+        timer: Callable[[], ContextManager[None]] = null_timer,
     ) -> None:
         self.graph = graph
         self.estimator = estimator

@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conftest import build_chain_circuit, build_fanout_circuit
@@ -266,9 +267,20 @@ class TestCongestedZeroSpanTrunk:
             0, EdgeKind.TRUNK, 0, 1, 0, Interval(5, 5), 0.0
         )
         engine.add_edge(stub)
+        # The graph's alive trunks as (channel, lo, hi, essential) columns.
         state = SimpleNamespace(
             is_follower=False,
-            graph=SimpleNamespace(alive_edges=lambda: [stub]),
+            graph=SimpleNamespace(
+                alive_trunks=lambda: tuple(
+                    np.array([value])
+                    for value in (
+                        stub.channel,
+                        stub.interval.lo,
+                        stub.interval.hi,
+                        False,
+                    )
+                )
+            ),
         )
         router = SimpleNamespace(engine=engine, states={"zn": state})
         assert _congested_nets(router) == ["zn"]
