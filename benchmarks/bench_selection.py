@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Selection-engine benchmark: incremental candidate heap vs full rescan.
+"""Selection benchmark: the incremental candidate engine vs the rescan oracle.
 
-Routes each design twice — ``selection_engine="rescan"`` (the seed's
-O(deletions × candidates) scan) and ``"incremental"`` (the
-lazy-invalidation heap) — asserts the deletion sequences are identical,
-and reports selection-key evaluations per deletion plus wall clock for
+Routes each design twice — under the rescan oracle
+(``repro.reference.OracleRouter``, the seed's O(deletions × candidates)
+scan) and under the production router (the array-backed incremental
+candidate engine) — asserts the deletion sequences are identical, and
+reports selection-key evaluations per deletion plus wall clock for
 both.
 
 Modes::
@@ -55,6 +56,7 @@ from repro.bench.circuits import (
 )
 from repro.core import GlobalRouter, RouterConfig, verify_routing
 from repro.obs import MemorySink
+from repro.reference import OracleRouter
 from repro.routegraph.graph import RoutingGraph
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -90,19 +92,21 @@ MAX_VERIFY_SHARE = 0.25
 MAX_GRAPH_BUILD_SHARE = 0.05
 
 
-def route_once(spec, engine, verify=False):
-    """Route one design under one engine; returns comparable artifacts.
+def route_once(spec, rescan=False, verify=False):
+    """Route one design under the production router, or with
+    ``rescan`` under the rescan oracle; returns comparable artifacts.
 
     With ``verify``, also runs :func:`verify_routing` against the
     router's feedthrough assignment and records its findings and wall.
     """
     dataset = make_dataset(spec)
     sink = MemorySink()
-    router = GlobalRouter(
+    router_type = OracleRouter if rescan else GlobalRouter
+    router = router_type(
         dataset.circuit,
         dataset.placement,
         dataset.constraints,
-        RouterConfig(selection_engine=engine),
+        RouterConfig(),
         trace_sink=sink,
     )
     start = time.perf_counter()
@@ -155,8 +159,8 @@ def local_ratio(run):
 
 
 def compare_design(spec):
-    rescan = route_once(spec, "rescan")
-    incremental = route_once(spec, "incremental")
+    rescan = route_once(spec, rescan=True)
+    incremental = route_once(spec)
     failures = []
     if incremental["sequence"] != rescan["sequence"]:
         first = next(
@@ -242,7 +246,7 @@ def route_reclassify_mode(spec, incremental_reclassify, verify=False):
     previous = RoutingGraph.incremental_reclassify
     RoutingGraph.incremental_reclassify = incremental_reclassify
     try:
-        return route_once(spec, "incremental", verify=verify)
+        return route_once(spec, verify=verify)
     finally:
         RoutingGraph.incremental_reclassify = previous
 
@@ -306,7 +310,7 @@ def check_graph_build(spec, run):
 def scale_smoke(ceiling_s, x2_ceiling_s):
     """Route the scale-tier designs under wall-time ceilings.
 
-    Incremental selection engine only: the point is catching accidental
+    Production selection only: the point is catching accidental
     quadratics at scale (slot scans, placement repacks, wholesale
     re-analysis), not engine equivalence — the small/standard suites
     already pin that down bit-exactly.  X1P1 additionally routes under

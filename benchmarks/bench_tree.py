@@ -1,12 +1,14 @@
 #!/usr/bin/env python
-"""Tree-engine benchmark: incremental tentative trees vs full Dijkstra.
+"""Tree-engine benchmark: incremental tentative trees vs the full-Dijkstra oracle.
 
-Routes each design twice — ``tree_engine="full"`` (the seed's full
-Dijkstra per tentative-tree evaluation) and ``"incremental"`` (off-tree
-fast path, early-terminated CSR Dijkstra, alternate-tree memo, and
-traversal refresh on converged graphs) — asserts the deletion sequences
-and final lengths are bit-identical, and reports Dijkstra runs, repeat
-runs, fast-path hit rate, and wall clock for both.
+Routes each design twice — under the oracle router with
+``full_trees=True`` (``repro.reference.OracleRouter`` binding
+``FullTreeEngine``, the seed's full Dijkstra per tentative-tree
+evaluation) and under the production router (``IncrementalTreeEngine``:
+off-tree fast path, early-terminated CSR Dijkstra, alternate-tree memo,
+and traversal refresh on converged graphs) — asserts the deletion
+sequences and final lengths are bit-identical, and reports Dijkstra
+runs, repeat runs, fast-path hit rate, and wall clock for both.
 
 Modes::
 
@@ -41,21 +43,26 @@ from repro.analysis.run_diff import BENCH_TREE_SCHEMA
 from repro.bench.circuits import make_dataset, small_suite, standard_suite
 from repro.core import GlobalRouter, RouterConfig
 from repro.obs import MemorySink
+from repro.reference import OracleRouter
 
 LARGEST = "C3P1"
 REQUIRED_REPEAT_SPEEDUP = 3.0
 
 
-def route_once(spec, engine):
-    """Route one design under one tree engine; returns comparable data."""
+def route_once(spec, full=False):
+    """Route one design under the production router, or with ``full``
+    under the full-Dijkstra oracle; returns comparable data."""
     dataset = make_dataset(spec)
     sink = MemorySink()
-    router = GlobalRouter(
+    router_type = OracleRouter if full else GlobalRouter
+    oracle = {"rescan": False, "full_trees": True} if full else {}
+    router = router_type(
         dataset.circuit,
         dataset.placement,
         dataset.constraints,
-        RouterConfig(tree_engine=engine),
+        RouterConfig(),
         trace_sink=sink,
+        **oracle,
     )
     start = time.perf_counter()
     result = router.route()
@@ -95,8 +102,8 @@ def route_once(spec, engine):
 
 
 def compare_design(spec):
-    full = route_once(spec, "full")
-    incremental = route_once(spec, "incremental")
+    full = route_once(spec, full=True)
+    incremental = route_once(spec)
     failures = []
     if incremental["sequence"] != full["sequence"]:
         first = next(

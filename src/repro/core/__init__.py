@@ -1,14 +1,13 @@
 """The paper's primary contribution: the timing- and area-driven
 edge-deletion global router (Sections 3.1–3.5)."""
 
-from .candidates import CandidateEngine, RescanSelector
+from .candidates import CandidateEngine
 from .config import RouterConfig
 from .density import DensityEngine, ChannelStats, EdgeDensityParams
 from .criteria import (
     ConstraintArcRows,
     DelayCriteria,
     NetTimingContext,
-    evaluate_delay_criteria,
     local_margin,
     penalty,
 )
@@ -29,10 +28,8 @@ __all__ = [
     "NetRoute",
     "NetTimingContext",
     "PhaseEvent",
-    "RescanSelector",
     "RouterConfig",
     "SelectionMode",
-    "evaluate_delay_criteria",
     "local_margin",
     "penalty",
     "selection_key",

@@ -3,8 +3,9 @@
 The paper's loop (Fig. 2, lines 04–07) repeatedly picks the minimum of a
 lexicographic selection key over *all* nets' deletable edges.  The seed
 implementation rescans every candidate each iteration — an
-``O(deletions × candidates)`` Python loop.  :class:`CandidateEngine`
-replaces the rescan with an **array-backed incremental arg-min**: every
+``O(deletions × candidates)`` Python loop.  :class:`CandidateEngine`,
+the router's only selector, replaces the rescan with an **array-backed
+incremental arg-min**: every
 candidate owns one row of a dense float64 key matrix whose columns are
 the lexicographic key positions, and
 
@@ -30,13 +31,11 @@ Because every batched column update is elementwise-identical to the
 scalar ``selection_key`` path (see ``evaluate_delay_criteria_batch`` for
 the float-for-float argument), the matrix arg-min is the rescan's
 arg-min and the engine reproduces the seed router's deletion sequence
-exactly (asserted on the standard suite by
-``tests/test_selection_equivalence.py``).
-
-:class:`RescanSelector` wraps the seed's full scan behind the same
-two-method interface; ``RouterConfig.selection_engine`` picks between
-them, and ``benchmarks/bench_selection.py`` quantifies the difference in
-selection-key evaluations per deletion and wall time.
+exactly.  The seed's full rescan is kept as a test oracle in
+:mod:`repro.reference`, behind the same two-method ``select``/``close``
+interface: ``tests/test_selection_equivalence.py`` asserts the identity
+on the standard suite, and ``benchmarks/bench_selection.py`` measures
+the difference in selection-key evaluations per deletion and wall time.
 """
 
 from __future__ import annotations
@@ -55,26 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Handle = Tuple[str, int]
 """A candidate's identity: ``(net_name, edge_id)``."""
-
-
-class RescanSelector:
-    """Baseline selector: full scan of every candidate per pick."""
-
-    def __init__(
-        self,
-        router: "GlobalRouter",
-        states: Sequence["_NetState"],
-        mode: SelectionMode,
-    ):
-        self._router = router
-        self._states = list(states)
-        self._mode = mode
-
-    def select(self) -> Optional[Tuple["_NetState", int]]:
-        return self._router._best_candidate(self._states, self._mode)
-
-    def close(self) -> None:
-        pass
 
 
 # Key-matrix column of each named lexicographic condition, per mode.

@@ -1,4 +1,10 @@
-"""Router configuration."""
+"""Router configuration.
+
+Every field changes what the router computes or how long it may search.
+How it computes is not configurable: candidate selection and tentative
+trees each have one production path, and the seed's reference versions
+are test oracles in :mod:`repro.reference`, not knobs.
+"""
 
 from __future__ import annotations
 
@@ -38,19 +44,6 @@ class RouterConfig:
         tree_estimator: tentative-tree estimator — ``"spt"`` (the paper's
             union of shortest paths) or ``"steiner"`` (KMB Steiner
             approximation; tighter lengths, ~10-50× slower).
-        selection_engine: how each deletion-loop iteration finds the best
-            candidate — ``"incremental"`` (default; lazy-invalidation
-            min-heap that re-keys only candidates invalidated by the last
-            deletion) or ``"rescan"`` (the seed's full scan of every
-            candidate, kept as the equivalence/bench baseline).  Both
-            produce the identical deletion sequence.
-        tree_engine: how tentative trees are (re)evaluated per candidate
-            — ``"incremental"`` (default; off-tree fast path,
-            early-terminated Dijkstra on a flat CSR adjacency, and
-            version-stamped ``cl_if_deleted`` revalidation) or ``"full"``
-            (the seed's full Dijkstra per evaluation, kept as the
-            equivalence/bench baseline).  Both produce bit-identical
-            tree lengths and therefore identical routing.
         routing_engine: which routing algorithm produces the result —
             ``"edge-deletion"`` (default; the paper's global greedy
             deletion loop plus the Section 3.5 improvement phases) or
@@ -93,8 +86,6 @@ class RouterConfig:
     revert_worse_reroutes: bool = True
     reassign_slots_on_reroute: bool = True
     tree_estimator: str = "spt"
-    selection_engine: str = "incremental"
-    tree_engine: str = "incremental"
     routing_engine: str = "edge-deletion"
     neg_init_pn: float = 0.5
     neg_pn_factor: float = 1.6
@@ -116,14 +107,6 @@ class RouterConfig:
         if self.tree_estimator not in ("spt", "steiner"):
             raise ConfigError(
                 f"unknown tree_estimator {self.tree_estimator!r}"
-            )
-        if self.selection_engine not in ("incremental", "rescan"):
-            raise ConfigError(
-                f"unknown selection_engine {self.selection_engine!r}"
-            )
-        if self.tree_engine not in ("incremental", "full"):
-            raise ConfigError(
-                f"unknown tree_engine {self.tree_engine!r}"
             )
         if self.routing_engine not in ("edge-deletion", "negotiated"):
             raise ConfigError(

@@ -175,57 +175,21 @@ def local_margin(
     return timing.margin_ps - _worst_excess(rows, timing, cl_if_deleted_pf)
 
 
-def evaluate_delay_criteria(
-    context: NetTimingContext,
-    cl_now_pf: float,
-    cl_if_deleted_pf: float,
-    timings: Mapping[str, ConstraintTiming],
-) -> DelayCriteria:
-    """``(C_d, Gl, LD)`` of a candidate edge.
-
-    Args:
-        context: the net's constraint involvement.
-        cl_now_pf: the net's current tentative-tree capacitance.
-        cl_if_deleted_pf: its capacitance if the edge is deleted.
-        timings: current per-constraint analysis results.
-    """
-    if not context.constrained:
-        return DelayCriteria.ZERO
-    critical_count = 0
-    global_delay = 0.0
-    local_delay = 0.0
-    delta_cl = cl_if_deleted_pf - cl_now_pf
-    for arc_rows in context.arc_rows():
-        cg = arc_rows.cg
-        timing = timings[cg.name]
-        lm = timing.margin_ps - _worst_excess(
-            arc_rows.rows, timing, cl_if_deleted_pf
-        )
-        if lm <= 0.0:
-            critical_count += 1
-        global_delay += penalty(lm, cg.limit_ps) - penalty(
-            timing.margin_ps, cg.limit_ps
-        )
-        # Accumulated per arc, in row order, to keep the float sum
-        # bit-identical to the pre-resolved-rows implementation.
-        for arc, _, _ in arc_rows.rows:
-            local_delay += delta_cl * arc.td_ps_per_pf
-    return DelayCriteria(critical_count, global_delay, local_delay)
-
-
 def evaluate_delay_criteria_batch(
     context: NetTimingContext,
     cl_now_pf: float,
     cl_if_deleted_pf: np.ndarray,
     timings: Mapping[str, ConstraintTiming],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`evaluate_delay_criteria` over one net's candidates.
+    """``(C_d, Gl, LD)`` of every candidate edge of one net, vectorized.
 
     ``cl_if_deleted_pf`` holds the post-deletion capacitance of each
     candidate edge of the net; returns parallel ``(C_d, Gl, LD)`` arrays
-    (int64, float64, float64) **bit-identical** to the scalar function
-    per element.  That identity is load-bearing (deletion sequences must
-    not move), so this is a careful transposition, not a free rewrite:
+    (int64, float64, float64) **bit-identical** per element to the
+    seed's scalar function, the test oracle
+    :func:`repro.reference.evaluate_delay_criteria`.  That identity is
+    load-bearing (deletion sequences must not move), so this is a
+    careful transposition, not a free rewrite:
 
     * Constraint graphs and their arcs are walked sequentially in the
       same order; only the candidate dimension is vectorized.  All

@@ -121,12 +121,12 @@ def downsample_columns(
 class DensityEngine:
     """Incremental ``d_M``/``d_m`` maps with per-channel version stamps.
 
-    The router caches selection keys per candidate edge; ``version[c]``
-    lets it detect exactly which cached density sub-keys went stale after
-    a deletion touched channel ``c``.  Listeners registered through
-    :meth:`subscribe` are called with the channel index on every version
-    bump — the incremental candidate engine uses this to re-key only the
-    candidates whose channel actually changed.
+    ``version[c]`` tells a key cache exactly which cached density
+    sub-keys went stale after a deletion touched channel ``c``.
+    Listeners registered through :meth:`subscribe` are called with the
+    channel index on every version bump — the incremental candidate
+    engine uses this to re-key only the candidates whose channel
+    actually changed.
     """
 
     def __init__(self, n_channels: int, width_columns: int):

@@ -16,11 +16,13 @@ Flow (line numbers refer to the paper's Algorithm Global_Router):
 Everything the criteria need is cached with version stamps: per-channel
 density versions, a global timing version, and per-net graph state, so
 the selection loop recomputes only keys invalidated by the last deletion.
-By default each loop runs on the incremental
-:class:`~repro.core.candidates.CandidateEngine` (a lazy-invalidation
-min-heap over those same version stamps); ``RouterConfig.selection_engine
-= "rescan"`` selects the original full-scan baseline, which produces the
-identical deletion sequence one full candidate sweep at a time.
+Every loop picks its deletions with the array-backed
+:class:`~repro.core.candidates.CandidateEngine` and evaluates tentative
+trees with :class:`~repro.routegraph.tree_engine.IncrementalTreeEngine`.
+The seed's full rescan and full-Dijkstra tree engine are test oracles in
+:mod:`repro.reference`, which plugs them in through the two seams here
+(:meth:`GlobalRouter._make_selector` and
+:attr:`GlobalRouter.tree_engine_type`); they are not configuration.
 
 Observability: the router emits structured trace events (``run_start``,
 ``phase_start/end``, ``edge_deleted`` with the winning criterion,
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import partial
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -68,7 +70,7 @@ from ..routegraph.build import (
 )
 from ..routegraph.graph import EdgeKind, GraphBatch, RoutingGraph
 from ..routegraph.tentative_tree import ESTIMATORS, TentativeTree
-from ..routegraph.tree_engine import FullTreeEngine, make_tree_engine
+from ..routegraph.tree_engine import FullTreeEngine, IncrementalTreeEngine
 from ..timing.constraint import (
     ConstraintGraph,
     PathConstraint,
@@ -82,9 +84,9 @@ from ..timing.sta import (
     WireCaps,
     net_criticality_order,
 )
-from .candidates import CandidateEngine, RescanSelector
+from .candidates import CandidateEngine
 from .config import RouterConfig
-from .criteria import DelayCriteria, NetTimingContext, evaluate_delay_criteria
+from .criteria import NetTimingContext
 from .density import DensityEngine
 from .result import (
     AttachSide,
@@ -94,7 +96,7 @@ from .result import (
     PhaseEvent,
     RoutedEdge,
 )
-from .selection import SelectionMode, selection_key, winning_criterion
+from .selection import SelectionMode, winning_criterion
 
 
 class _NetState:
@@ -110,7 +112,6 @@ class _NetState:
         "context",
         "pair",
         "follower_of",
-        "key_cache",
     )
 
     def __init__(self, net: Net, graph: RoutingGraph):
@@ -123,7 +124,6 @@ class _NetState:
         self.context: Optional[NetTimingContext] = None
         self.pair: Optional[PairCorrespondence] = None
         self.follower_of: Optional[str] = None
-        self.key_cache: Dict[int, Tuple[tuple, int, int]] = {}
 
     @property
     def is_follower(self) -> bool:
@@ -132,6 +132,10 @@ class _NetState:
 
 class GlobalRouter:
     """Timing- and area-driven edge-deletion global router."""
+
+    #: Tree engine bound to every net's graph (a seam for the
+    #: :mod:`repro.reference` oracle, not an option).
+    tree_engine_type: Type[FullTreeEngine] = IncrementalTreeEngine
 
     def __init__(
         self,
@@ -246,9 +250,9 @@ class GlobalRouter:
             self.metrics.timer, "graph.reclassify_s"
         )
         self._phase_stack: List[str] = []
-        # Decision explainability: both candidate engines record the
-        # outcome of each select() here (when tracing), and the deletion
-        # that follows turns it into a sampled deletion_decision event.
+        # Decision explainability: the selector records the outcome of
+        # each select() here (when tracing), and the deletion that
+        # follows turns it into a sampled deletion_decision event.
         # Kept out of RouterConfig on purpose — sampling must not change
         # batch-cache keys or routing behaviour.
         self.decisions = DecisionPolicy.parse(decision_sampling)
@@ -582,8 +586,7 @@ class GlobalRouter:
         rollback), and edge ids are only meaningful within one build, so
         the per-candidate cache must go whenever the engine is rebound.
         """
-        state.tree_engine = make_tree_engine(
-            self.config.tree_engine,
+        state.tree_engine = self.tree_engine_type(
             state.graph,
             self.config.tree_estimator,
             evals=self._m_tree_evals,
@@ -594,12 +597,6 @@ class GlobalRouter:
             timer=partial(self.metrics.timer, "router.tree_eval_s"),
         )
         state.cl_if_deleted.clear()
-        # The selection-key cache is keyed by edge id too, so it is just
-        # as build-scoped: an entry computed for the old graph's edge N
-        # must not be offered for the new graph's unrelated edge N (its
-        # stale version stamps can collide with the new edge's current
-        # ones after a rebuild's unregister/register churn).
-        state.key_cache.clear()
 
     def _tree_engine(self, state: _NetState) -> FullTreeEngine:
         engine = state.tree_engine
@@ -626,21 +623,7 @@ class GlobalRouter:
                 tree.total_length_um, state.net.width_pitches
             )
             self._set_wire_cap(state.net, state.cl_pf)
-        if engine.kind != "incremental":
-            # Seed behaviour: every candidate re-evaluates from scratch.
-            # The incremental engine instead keeps the entries — they are
-            # version-stamped and revalidate through the off-tree fast
-            # path on their next lookup.
-            state.cl_if_deleted.clear()
         if self.config.timing_driven and state.context.constrained:
-            # Constrained keys embed per-candidate cl_if_deleted values
-            # that may shift with any change to this net's graph (a
-            # candidate's detour can run through a removed edge even
-            # when the tree itself survived), so their cache must go.
-            # Unconstrained keys have a constant delay subkey and carry
-            # density/timing version stamps that already catch every
-            # other invalidation — keep them.
-            state.key_cache.clear()
             # Even when the tree object survived (off-tree deletion),
             # this net's candidate detours may have run through the
             # removed edge, shifting their cl_if_deleted values.  The
@@ -649,33 +632,16 @@ class GlobalRouter:
             # leaves stale heap keys behind current-looking stamps.
             self._timing_dirty = True
 
-    def _cl_if_deleted(self, state: _NetState, edge_id: int) -> float:
-        engine = self._tree_engine(state)
-        cached = state.cl_if_deleted.get(edge_id)
-        if cached is not None and cached[1] == engine.version:
-            return cached[0]
-        tree = engine.evaluate(edge_id)
-        if tree is None:
-            raise RoutingError(
-                f"net {state.net.name}: edge {edge_id} is essential but "
-                "was offered as a candidate"
-            )
-        cl = self.delay_model.wire_cap_pf(
-            tree.total_length_um, state.net.width_pitches
-        )
-        state.cl_if_deleted[edge_id] = (cl, engine.version)
-        return cl
-
     def _cl_if_deleted_many(
         self, state: _NetState, edge_ids
     ) -> np.ndarray:
-        """Batched :meth:`_cl_if_deleted` over one net's candidates.
+        """``CL(n)`` after deleting each of one net's candidates.
 
-        Cache hits fill directly; the misses go through the tree
+        Entries of ``state.cl_if_deleted`` stamped with the engine's
+        current version fill directly; the misses go through the tree
         engine's ``evaluate_many`` in one call, which resolves most of
         them via the off-tree fast path without a Dijkstra.  Returns a
-        float64 array parallel to ``edge_ids`` with values identical to
-        the scalar method's.
+        float64 array parallel to ``edge_ids``.
         """
         engine = self._tree_engine(state)
         version = engine.version
@@ -788,65 +754,6 @@ class GlobalRouter:
             if not self.states[name].is_follower
         ]
 
-    def _key_for(
-        self, state: _NetState, edge_id: int, mode: SelectionMode
-    ) -> tuple:
-        self._m_key_evals.inc()
-        edge = state.graph.edge(edge_id)
-        dens_version = self.engine.version[edge.channel]
-        cached = state.key_cache.get(edge_id)
-        if cached is not None:
-            key, cached_dens, cached_timing = cached
-            if cached_dens == dens_version and (
-                cached_timing == self._timing_version
-            ):
-                return key
-        self._m_key_recomputes.inc()
-        delay = DelayCriteria.ZERO
-        if self.config.timing_driven and state.context.constrained:
-            timings = self._ensure_timings()
-            delay = evaluate_delay_criteria(
-                state.context,
-                state.cl_pf,
-                self._cl_if_deleted(state, edge_id),
-                timings,
-            )
-        stats = self.engine.channel_stats(edge.channel)
-        params = self.engine.edge_params(edge)
-        key = selection_key(
-            edge, delay, stats, params, mode,
-            tie_break=(state.net.name, edge_id),
-        )
-        state.key_cache[edge_id] = (
-            key,
-            dens_version,
-            self._timing_version,
-        )
-        return key
-
-    def _best_candidate(
-        self, states: Sequence[_NetState], mode: SelectionMode
-    ) -> Optional[Tuple[_NetState, int]]:
-        if self.config.timing_driven:
-            self._ensure_timings()
-        track = self.tracer.enabled
-        best_key = None
-        runner_key = None
-        best: Optional[Tuple[_NetState, int]] = None
-        for state in states:
-            for edge_id in state.graph.deletable_edges():
-                key = self._key_for(state, edge_id, mode)
-                if best_key is None or key < best_key:
-                    if track:
-                        runner_key = best_key
-                    best_key = key
-                    best = (state, edge_id)
-                elif track and (runner_key is None or key < runner_key):
-                    runner_key = key
-        if track and best is not None:
-            self._record_selection(best_key, runner_key, mode)
-        return best
-
     def _record_selection(
         self,
         best_key: tuple,
@@ -854,7 +761,7 @@ class GlobalRouter:
         mode: SelectionMode,
     ) -> None:
         """Remember one select() outcome for the deletion that follows
-        (called by both candidate engines, only while tracing)."""
+        (called by the selector, only while tracing)."""
         criterion, depth = winning_criterion(best_key, runner_key, mode)
         self._last_decision = SelectionOutcome(
             best_key, runner_key, criterion, depth, mode
@@ -864,10 +771,9 @@ class GlobalRouter:
     # Deletion
     # ==================================================================
     def _make_selector(self, states: Sequence[_NetState], mode: SelectionMode):
-        """The configured candidate selector for one deletion loop."""
-        if self.config.selection_engine == "incremental":
-            return CandidateEngine(self, states, mode)
-        return RescanSelector(self, states, mode)
+        """The candidate selector for one deletion loop (a seam for the
+        :mod:`repro.reference` oracle, not an option)."""
+        return CandidateEngine(self, states, mode)
 
     def _deletion_loop(
         self, states: Sequence[_NetState], mode: SelectionMode
@@ -1043,7 +949,6 @@ class GlobalRouter:
             # tree so the off-tree fast path works immediately.
             self._bind_tree_engine(member)
             member.tree_engine.tree = tree
-            member.key_cache.clear()
         if state.pair is not None:
             # The correspondence was rebuilt against the discarded graphs;
             # re-establish it on the restored ones.

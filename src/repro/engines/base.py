@@ -51,14 +51,11 @@ class EngineCapabilities:
             (``compare-runs`` deletion divergence) are meaningful.
         iterative: the engine converges over rip-up-and-reroute
             iterations (emits ``negotiation_iteration`` events).
-        parallel_per_net: net routing is independent per net within an
-            iteration (a future multi-worker engine can shard nets).
     """
 
     deterministic: bool = True
     emits_edge_deleted: bool = True
     iterative: bool = False
-    parallel_per_net: bool = False
 
 
 class RoutingEngine:

@@ -26,7 +26,6 @@ class EdgeDeletionEngine(RoutingEngine):
         deterministic=True,
         emits_edge_deleted=True,
         iterative=False,
-        parallel_per_net=False,
     )
 
     def route(self) -> GlobalRoutingResult:

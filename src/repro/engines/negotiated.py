@@ -76,7 +76,6 @@ class NegotiatedEngine(RoutingEngine):
         deterministic=True,
         emits_edge_deleted=False,
         iterative=True,
-        parallel_per_net=True,
     )
 
     def route(self) -> GlobalRoutingResult:

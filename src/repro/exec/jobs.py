@@ -33,7 +33,7 @@ from ..tech import Technology
 
 #: Identity of the routing algorithm generation.  Part of every cache
 #: key: bumping it orphans all previously cached results.
-CODE_VERSION_SALT = "repro-exec/1"
+CODE_VERSION_SALT = "repro-exec/2"
 
 
 def canonical_value(obj: Any) -> Any:

@@ -14,7 +14,7 @@ the default keeps every Nth record and a run being debugged switches to
 
 :class:`DecisionPolicy` parses and applies the sampling spec;
 :func:`decision_payload` builds the event payload from the selection
-outcome both candidate engines record on the router.
+outcome the router's candidate selector records on it.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ DECISION_SAMPLING_DEFAULT = "nth:25"
 class SelectionOutcome(NamedTuple):
     """What one ``select()`` call saw: winner, runner-up, tie-breaker.
 
-    Both :class:`~repro.core.candidates.CandidateEngine` and the rescan
-    baseline store one of these on the router (via
+    :class:`~repro.core.candidates.CandidateEngine` (and the rescan
+    oracle in :mod:`repro.reference`) stores one of these on the router (via
     ``GlobalRouter._record_selection``) whenever tracing is enabled, so
     the deletion that follows can be explained.
     """

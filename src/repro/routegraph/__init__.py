@@ -14,9 +14,7 @@ from .tentative_tree import TentativeTree, compute_tentative_tree
 from .tree_engine import (
     FullTreeEngine,
     IncrementalTreeEngine,
-    TREE_ENGINES,
     dijkstra_to_terminals,
-    make_tree_engine,
     tree_graph_labels,
 )
 
@@ -28,12 +26,10 @@ __all__ = [
     "RouteEdge",
     "RouteVertex",
     "RoutingGraph",
-    "TREE_ENGINES",
     "TentativeTree",
     "VertexKind",
     "build_routing_graph",
     "compute_tentative_tree",
     "dijkstra_to_terminals",
-    "make_tree_engine",
     "tree_graph_labels",
 ]

@@ -1,4 +1,4 @@
-"""Incremental tentative-tree evaluation (the PR 5 hot-path engine).
+"""Incremental tentative-tree evaluation.
 
 Every delay criterion of Section 3.2 is defined over the *tentative
 tree*, and evaluating a candidate deletion means recomputing that tree
@@ -38,6 +38,13 @@ The fast path is only sound for the ``"spt"`` estimator: a KMB Steiner
 tree's metric closure can route through off-tree edges, so the
 ``"steiner"`` estimator always recomputes from scratch under either
 engine.
+
+The router binds :class:`IncrementalTreeEngine` to every net's graph;
+there is no engine option.  :class:`FullTreeEngine`, the seed's full
+recompute, is its base class and the yardstick: the oracle router in
+:mod:`repro.reference` binds it so that
+``tests/test_tree_engine_equivalence.py`` and
+``benchmarks/bench_tree.py`` can hold the incremental engine to it.
 """
 
 from __future__ import annotations
@@ -136,10 +143,9 @@ def dijkstra_to_terminals(
 class FullTreeEngine:
     """Recompute-from-scratch evaluation: the seed behaviour behind the
     engine interface.  Every :meth:`evaluate` runs the configured
-    estimator over the whole graph, exactly as ``_cl_if_deleted`` did
-    before the engine existed."""
-
-    kind = "full"
+    estimator over the whole graph.  It is the base of
+    :class:`IncrementalTreeEngine` and the test oracle the router binds
+    only under :class:`repro.reference.OracleRouter`."""
 
     def __init__(
         self,
@@ -236,8 +242,6 @@ class IncrementalTreeEngine(FullTreeEngine):
     set-membership check in a timer context would cost more than the
     check itself.
     """
-
-    kind = "incremental"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -360,27 +364,3 @@ class IncrementalTreeEngine(FullTreeEngine):
         if fastpath:
             self._m_fastpath.inc(fastpath)
         return out
-
-
-TREE_ENGINES = {
-    "full": FullTreeEngine,
-    "incremental": IncrementalTreeEngine,
-}
-"""Available tentative-tree engines by name."""
-
-
-def make_tree_engine(
-    kind: str,
-    graph: RoutingGraph,
-    estimator: str = "spt",
-    **counters,
-) -> FullTreeEngine:
-    """Instantiate the engine named ``kind`` bound to ``graph``."""
-    try:
-        cls = TREE_ENGINES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown tree engine {kind!r}; expected one of "
-            f"{sorted(TREE_ENGINES)}"
-        ) from None
-    return cls(graph, estimator, **counters)

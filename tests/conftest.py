@@ -4,6 +4,7 @@ results reused across the test suite."""
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -21,6 +22,10 @@ from repro import (
     place_circuit,
     standard_ecl_library,
 )
+from repro.bench.circuits import make_dataset, standard_suite
+from repro.core.selection import SelectionMode
+from repro.obs import MemorySink
+from repro.reference import OracleRouter
 
 
 @pytest.fixture(scope="session")
@@ -161,3 +166,101 @@ def route_chain(library, constrained: bool = True):
 @pytest.fixture()
 def routed_chain(library):
     return route_chain(library)
+
+
+# ----------------------------------------------------------------------
+# Standard-suite routes shared by the equivalence suites
+# ----------------------------------------------------------------------
+SUITE_DESIGNS = [spec.name for spec in standard_suite()]
+_SUITE_SPECS = {spec.name: spec for spec in standard_suite()}
+
+
+def deletion_events(sink):
+    """Every ``edge_deleted`` event as a comparable tuple."""
+    return [
+        (
+            e.data["net"],
+            e.data["edge"],
+            e.data["criterion"],
+            e.data["depth"],
+            e.data["phase"],
+            e.data["length_um"],
+        )
+        for e in sink.of_kind("edge_deleted")
+    ]
+
+
+class SuiteRoute(NamedTuple):
+    """What the equivalence suites compare of one full route."""
+
+    events: list
+    result: object
+    metrics: dict
+    trees: dict
+
+
+class SuiteRoutes:
+    """Memoised standard-suite routes, production and oracle.
+
+    ``oracle`` keyword arguments (``rescan``, ``full_trees``) route under
+    :class:`repro.reference.OracleRouter`; none routes under the
+    production :class:`GlobalRouter`.  Every combination is routed once
+    per session, however many suites compare against it.
+    """
+
+    def __init__(self):
+        self._routes = {}
+        self._area_loops = {}
+
+    @staticmethod
+    def _router(design, sink, oracle):
+        dataset = make_dataset(_SUITE_SPECS[design])
+        args = (dataset.circuit, dataset.placement, dataset.constraints)
+        if oracle:
+            return OracleRouter(
+                *args, RouterConfig(), trace_sink=sink, **oracle
+            )
+        return GlobalRouter(*args, RouterConfig(), trace_sink=sink)
+
+    def route(self, design, **oracle) -> SuiteRoute:
+        """The full Fig. 2 flow on one design."""
+        key = (design, tuple(sorted(oracle.items())))
+        if key not in self._routes:
+            sink = MemorySink()
+            router = self._router(design, sink, oracle)
+            result = router.route()
+            trees = {
+                name: (
+                    state.cl_pf,
+                    None
+                    if state.tree is None
+                    else (
+                        state.tree.total_length_um,
+                        frozenset(state.tree.edge_ids),
+                    ),
+                )
+                for name, state in router.states.items()
+            }
+            self._routes[key] = SuiteRoute(
+                deletion_events(sink), result, router.metrics.flat(), trees
+            )
+        return self._routes[key]
+
+    def area_loop(self, design, **oracle) -> list:
+        """A standalone AREA-mode deletion loop over all lead states."""
+        key = (design, tuple(sorted(oracle.items())))
+        if key not in self._area_loops:
+            sink = MemorySink()
+            router = self._router(design, sink, oracle)
+            router._build_timing()
+            router._assign_pins_and_feedthroughs()
+            router._build_routing_graphs()
+            router._init_density_and_trees()
+            router._deletion_loop(router._lead_states(), SelectionMode.AREA)
+            self._area_loops[key] = deletion_events(sink)
+        return self._area_loops[key]
+
+
+@pytest.fixture(scope="session")
+def suite_routes():
+    return SuiteRoutes()

@@ -1,8 +1,7 @@
-"""Unit tests for the candidate-selection engines (lifecycle, config,
-metrics) — the heavy equivalence guarantees live in
-``test_selection_equivalence.py`` / ``test_selection_property.py``."""
-
-import pytest
+"""Unit tests for candidate selection (lifecycle, the selector seam,
+metrics) — the heavy equivalence guarantees against the rescan oracle
+live in ``test_selection_equivalence.py`` /
+``test_selection_property.py``."""
 
 from conftest import build_chain_circuit
 from repro import (
@@ -13,12 +12,12 @@ from repro import (
     RouterConfig,
     place_circuit,
 )
-from repro.core.candidates import CandidateEngine, RescanSelector
+from repro.core.candidates import CandidateEngine
 from repro.core.selection import SelectionMode
-from repro.errors import ConfigError
+from repro.reference import OracleRouter, RescanSelector
 
 
-def make_router(library, engine="incremental"):
+def make_router(library, rescan=False, config=RouterConfig()):
     circuit = build_chain_circuit(library, n_gates=8)
     placement = place_circuit(
         circuit, PlacerConfig(n_rows=3, feed_fraction=0.4)
@@ -30,16 +29,13 @@ def make_router(library, engine="incremental"):
         frozenset([gd.vertex_of(circuit.cell("ff").terminal("D")).index]),
         2000.0,
     )
-    return GlobalRouter(
-        circuit,
-        placement,
-        [constraint],
-        RouterConfig(selection_engine=engine),
-    )
+    if rescan:
+        return OracleRouter(circuit, placement, [constraint], config)
+    return GlobalRouter(circuit, placement, [constraint], config)
 
 
-def prepared(library, engine="incremental"):
-    router = make_router(library, engine)
+def prepared(library, rescan=False, config=RouterConfig()):
+    router = make_router(library, rescan, config)
     router._build_timing()
     router._assign_pins_and_feedthroughs()
     router._build_routing_graphs()
@@ -48,22 +44,23 @@ def prepared(library, engine="incremental"):
 
 
 class TestConfig:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            RouterConfig(selection_engine="quadratic")
-
-    def test_engine_survives_unconstrained(self):
-        config = RouterConfig(selection_engine="rescan").unconstrained()
-        assert config.selection_engine == "rescan"
+    def test_engine_survives_unconstrained(self, library):
+        router = prepared(
+            library, rescan=True, config=RouterConfig().unconstrained()
+        )
+        selector = router._make_selector(
+            router._lead_states(), SelectionMode.TIMING
+        )
+        assert isinstance(selector, RescanSelector)
 
     def test_selector_factory_honours_config(self, library):
-        router = prepared(library, "incremental")
+        router = prepared(library)
         selector = router._make_selector(
             router._lead_states(), SelectionMode.TIMING
         )
         assert isinstance(selector, CandidateEngine)
         selector.close()
-        router = prepared(library, "rescan")
+        router = prepared(library, rescan=True)
         selector = router._make_selector(
             router._lead_states(), SelectionMode.TIMING
         )
@@ -109,7 +106,7 @@ class TestEngineLifecycle:
 
 class TestMetrics:
     def test_heap_counters_populated(self, library):
-        router = make_router(library, "incremental")
+        router = make_router(library)
         router.route()
         flat = router.metrics.flat()
         assert flat["router.heap_pops"] > 0
@@ -117,7 +114,7 @@ class TestMetrics:
         assert flat["router.key_evals"] >= flat["router.key_recomputes"]
 
     def test_rescan_has_no_heap_pops(self, library):
-        router = make_router(library, "rescan")
+        router = make_router(library, rescan=True)
         router.route()
         flat = router.metrics.flat()
         assert flat.get("router.heap_pops", 0) == 0

@@ -1,4 +1,5 @@
-"""Tests for repro.core.criteria (LM, C_d, Gl, LD, pen)."""
+"""Tests for repro.core.criteria (LM, C_d, Gl, LD, pen), against the
+scalar reference :func:`repro.reference.evaluate_delay_criteria`."""
 
 import math
 
@@ -10,12 +11,12 @@ from conftest import build_diamond_circuit
 from repro.core.criteria import (
     DelayCriteria,
     NetTimingContext,
-    evaluate_delay_criteria,
     evaluate_delay_criteria_batch,
     local_margin,
     penalty,
 )
 from repro.errors import TimingError
+from repro.reference import evaluate_delay_criteria
 from repro.timing import (
     GlobalDelayGraph,
     PathConstraint,

@@ -10,13 +10,15 @@ AREA-mode loop.  The contract is bit-identity: same deletion sequence
 reported total length, under either value of
 ``RoutingGraph.incremental_reclassify``.
 
-Like the selection-engine equivalence suite, every design routes twice,
-so this file is slow; it is the acceptance gate for the incremental
-reclassify path and must not be skipped casually.
+Every design routes once more under the reference path (the incremental
+route is the production route shared through the ``suite_routes``
+fixture), so this file is slow; it is the acceptance gate for the
+incremental reclassify path and must not be skipped casually.
 """
 
 import pytest
 
+from conftest import deletion_events
 from repro.bench.circuits import make_dataset, standard_suite
 from repro.core import GlobalRouter, RouterConfig
 from repro.core.selection import SelectionMode
@@ -25,20 +27,6 @@ from repro.routegraph.graph import RoutingGraph
 
 DESIGNS = [spec.name for spec in standard_suite()]
 _SPECS = {spec.name: spec for spec in standard_suite()}
-
-
-def _deletion_events(sink):
-    return [
-        (
-            e.data["net"],
-            e.data["edge"],
-            e.data["criterion"],
-            e.data["depth"],
-            e.data["phase"],
-            e.data["length_um"],
-        )
-        for e in sink.of_kind("edge_deleted")
-    ]
 
 
 def _make_router(design, sink):
@@ -60,7 +48,7 @@ def _route(design, incremental):
         sink = MemorySink()
         router = _make_router(design, sink)
         result = router.route()
-        return _deletion_events(sink), result, router.metrics.flat()
+        return deletion_events(sink), result, router.metrics.flat()
     finally:
         RoutingGraph.incremental_reclassify = prev
 
@@ -78,16 +66,22 @@ def _area_loop(design, incremental):
         router._init_density_and_trees()
         router._deletion_loop(router._lead_states(), SelectionMode.TIMING)
         router._deletion_loop(router._lead_states(), SelectionMode.AREA)
-        return _deletion_events(sink)
+        return deletion_events(sink)
     finally:
         RoutingGraph.incremental_reclassify = prev
 
 
 @pytest.fixture(scope="module", params=DESIGNS)
-def routed_pair(request):
-    """One design routed under both reclassification paths."""
+def routed_pair(request, suite_routes):
+    """One design routed under both reclassification paths (the
+    incremental one is the session's shared production route)."""
     design = request.param
-    return design, _route(design, False), _route(design, True)
+    production = suite_routes.route(design)
+    return (
+        design,
+        _route(design, False),
+        (production.events, production.result, production.metrics),
+    )
 
 
 class TestFullRouteEquivalence:

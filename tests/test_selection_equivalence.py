@@ -1,18 +1,20 @@
 """Seed-equivalence of the incremental candidate engine.
 
 The ``CandidateEngine``'s contract is *exact* reproduction of the full
-rescan's behaviour: on every standard-suite design the two selectors
-must produce the identical deletion sequence — same net, same edge id,
-same order, same winning criterion — through the complete Fig. 2 flow
+rescan's behaviour: on every standard-suite design the production router
+and the rescan oracle (:class:`repro.reference.OracleRouter`) must
+produce the identical deletion sequence — same net, same edge id, same
+order, same winning criterion — through the complete Fig. 2 flow
 (initial loop, differential-pair mirror deletions, rip-up/reroute
 re-entry in all three improvement phases) and through a standalone
 AREA-mode deletion loop.
 
-These tests route every design twice, so they are the slowest in the
-suite (~1 min total); they are the acceptance gate for
-``RouterConfig.selection_engine`` and must not be skipped casually.
+The production routes come from the session's ``suite_routes`` fixture
+(shared with the tree-engine and reclassify suites); the rescan oracle
+routes every design once more here.  These tests are the acceptance
+gate for the production selector and must not be skipped casually.
 
-Both engines here run under the default incremental graph
+Both routers here run under the default incremental graph
 reclassification; ``tests/test_reclassify_equivalence.py`` is the
 companion suite pinning that axis (incremental vs full-Tarjan
 reclassify) to the same bit-identity bar.
@@ -20,72 +22,26 @@ reclassify) to the same bit-identity bar.
 
 import pytest
 
-from repro.bench.circuits import make_dataset, standard_suite
-from repro.core import GlobalRouter, RouterConfig
-from repro.core.selection import SelectionMode
-from repro.obs import MemorySink
+from conftest import SUITE_DESIGNS
 
-DESIGNS = [spec.name for spec in standard_suite()]
-_SPECS = {spec.name: spec for spec in standard_suite()}
+LARGEST = "C3P1"
 
 
-def _deletion_events(sink):
-    return [
-        (
-            e.data["net"],
-            e.data["edge"],
-            e.data["criterion"],
-            e.data["depth"],
-            e.data["phase"],
-        )
-        for e in sink.of_kind("edge_deleted")
-    ]
-
-
-def _route(design, engine):
-    """Full route of one design under one selection engine."""
-    dataset = make_dataset(_SPECS[design])
-    sink = MemorySink()
-    router = GlobalRouter(
-        dataset.circuit,
-        dataset.placement,
-        dataset.constraints,
-        RouterConfig(selection_engine=engine),
-        trace_sink=sink,
-    )
-    result = router.route()
-    return _deletion_events(sink), result, router.metrics.flat()
-
-
-def _area_loop(design, engine):
-    """Standalone AREA-mode deletion loop over all lead states."""
-    dataset = make_dataset(_SPECS[design])
-    sink = MemorySink()
-    router = GlobalRouter(
-        dataset.circuit,
-        dataset.placement,
-        dataset.constraints,
-        RouterConfig(selection_engine=engine),
-        trace_sink=sink,
-    )
-    router._build_timing()
-    router._assign_pins_and_feedthroughs()
-    router._build_routing_graphs()
-    router._init_density_and_trees()
-    router._deletion_loop(router._lead_states(), SelectionMode.AREA)
-    return _deletion_events(sink)
-
-
-@pytest.fixture(scope="module", params=DESIGNS)
-def routed_pair(request):
-    """One design routed under both engines."""
+@pytest.fixture(scope="module", params=SUITE_DESIGNS)
+def routed_pair(request, suite_routes):
+    """One design routed by the rescan oracle and by production."""
     design = request.param
-    return design, _route(design, "rescan"), _route(design, "incremental")
+    return (
+        design,
+        suite_routes.route(design, rescan=True),
+        suite_routes.route(design),
+    )
 
 
 class TestFullRouteEquivalence:
     def test_deletion_sequence_identical(self, routed_pair):
-        design, (seq_rescan, _, _), (seq_inc, _, _) = routed_pair
+        design, rescan, incremental = routed_pair
+        seq_rescan, seq_inc = rescan.events, incremental.events
         assert seq_inc == seq_rescan, (
             f"{design}: incremental engine diverged from the rescan "
             f"baseline at index "
@@ -93,7 +49,8 @@ class TestFullRouteEquivalence:
         )
 
     def test_results_identical(self, routed_pair):
-        design, (_, res_rescan, _), (_, res_inc, _) = routed_pair
+        design, rescan, incremental = routed_pair
+        res_rescan, res_inc = rescan.result, incremental.result
         assert res_inc.deletions == res_rescan.deletions
         assert res_inc.reroutes == res_rescan.reroutes
         assert res_inc.total_length_um == res_rescan.total_length_um
@@ -104,7 +61,8 @@ class TestFullRouteEquivalence:
         assert res_inc.constraint_margins == res_rescan.constraint_margins
 
     def test_incremental_never_evaluates_more_keys(self, routed_pair):
-        design, (_, _, m_rescan), (_, _, m_inc) = routed_pair
+        design, rescan, incremental = routed_pair
+        m_rescan, m_inc = rescan.metrics, incremental.metrics
         assert (
             m_inc["router.key_evals"] <= m_rescan["router.key_evals"]
         )
@@ -117,26 +75,32 @@ class TestFullRouteEquivalence:
         """The array-native hot path must actually run (not silently
         fall back to scalar): every design refreshes candidate rows in
         batches, and each batch covers multiple rows on average."""
-        design, _, (_, _, m_inc) = routed_pair
-        rows = m_inc.get("router.vectorized_rows", 0)
-        batches = m_inc.get("router.vectorized_batches", 0)
+        design, _, incremental = routed_pair
+        rows = incremental.metrics.get("router.vectorized_rows", 0)
+        batches = incremental.metrics.get("router.vectorized_batches", 0)
         assert rows > 0, f"{design}: vectorized path never ran"
         assert batches > 0
         assert rows >= batches
 
 
-@pytest.mark.parametrize("design", DESIGNS)
-def test_area_mode_sequence_identical(design):
-    assert _area_loop(design, "incremental") == _area_loop(
-        design, "rescan"
+@pytest.mark.parametrize("design", SUITE_DESIGNS)
+def test_area_mode_sequence_identical(design, suite_routes):
+    assert suite_routes.area_loop(design) == suite_routes.area_loop(
+        design, rescan=True
     )
 
 
-def test_largest_design_key_eval_reduction():
+def test_largest_design_key_eval_reduction(suite_routes):
     """The headline speedup claim: ≥5× fewer selection-key evaluations
-    per deletion on the largest standard-suite design (C3P1)."""
-    _, res_rescan, m_rescan = _route("C3P1", "rescan")
-    _, res_inc, m_inc = _route("C3P1", "incremental")
-    per_del_rescan = m_rescan["router.key_evals"] / res_rescan.deletions
-    per_del_inc = m_inc["router.key_evals"] / res_inc.deletions
+    per deletion on the largest standard-suite design (C3P1).  Reads the
+    two C3P1 routes ``routed_pair`` already made."""
+    rescan = suite_routes.route(LARGEST, rescan=True)
+    incremental = suite_routes.route(LARGEST)
+    per_del_rescan = (
+        rescan.metrics["router.key_evals"] / rescan.result.deletions
+    )
+    per_del_inc = (
+        incremental.metrics["router.key_evals"]
+        / incremental.result.deletions
+    )
     assert per_del_rescan >= 5.0 * per_del_inc

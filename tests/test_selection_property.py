@@ -8,11 +8,14 @@ after every deletion:
 * **completeness** — every surviving candidate (alive, non-essential,
   deletable edge of a tracked net) has a fresh-stamped heap entry;
 * **exactness** — that entry's key equals a freshly computed
-  ``selection_key`` (cache bypassed).
+  ``selection_key`` (the rescan oracle's scalar key, cache bypassed).
 
 Together these imply the heap minimum is the rescan minimum at every
 step, for arbitrary interleavings — not just the ones the router's own
-greedy loop happens to produce.
+greedy loop happens to produce.  The router is
+:class:`repro.reference.OracleRouter` with the production selector and
+tree engine, so that the same router also offers the oracle's scalar
+key path.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -24,9 +27,10 @@ from repro.bench.circuits import (
     FeedStyle,
     make_dataset,
 )
-from repro.core import GlobalRouter, RouterConfig
+from repro.core import RouterConfig
 from repro.core.candidates import CandidateEngine
 from repro.core.selection import SelectionMode
+from repro.reference import OracleRouter
 
 MAX_STEPS = 25
 
@@ -47,11 +51,12 @@ def _prepared_router(circuit_seed: int):
         n_constraints=4,
     )
     dataset = make_dataset(spec)
-    router = GlobalRouter(
+    router = OracleRouter(
         dataset.circuit,
         dataset.placement,
         dataset.constraints,
         RouterConfig(),
+        rescan=False,
     )
     router._build_timing()
     router._assign_pins_and_feedthroughs()
@@ -66,12 +71,6 @@ def _survivors(states):
         for state in states
         for edge_id in state.graph.deletable_edges()
     }
-
-
-def _fresh_key(router, state, edge_id, mode):
-    """``selection_key`` recomputed from scratch, cache bypassed."""
-    state.key_cache.pop(edge_id, None)
-    return router._key_for(state, edge_id, mode)
 
 
 @settings(
@@ -99,7 +98,7 @@ def test_heap_keys_match_fresh_keys(circuit_seed, mode, data):
             )
             for name, edge_id in survivors:
                 state = router.states[name]
-                fresh = _fresh_key(router, state, edge_id, mode)
+                fresh = router.fresh_key(state, edge_id, mode)
                 assert keys[(name, edge_id)] == fresh, (
                     f"step {step}: stale key served for ({name}, "
                     f"{edge_id}): heap={keys[(name, edge_id)]} "

@@ -1,4 +1,5 @@
-"""Tests for repro.routegraph.tentative_tree and the tree engines."""
+"""Tests for repro.routegraph.tentative_tree and the tree engines
+(the incremental engine against the full-Dijkstra oracle)."""
 
 import math
 from itertools import islice
@@ -22,10 +23,10 @@ from repro.routegraph import (
     build_routing_graph,
     compute_tentative_tree,
     dijkstra_to_terminals,
-    make_tree_engine,
     tree_graph_labels,
 )
 from repro.routegraph.graph import EdgeKind
+from repro.reference import OracleRouter
 from repro.routegraph.tentative_tree import collect_union
 from repro.tech import Technology
 
@@ -183,12 +184,6 @@ class _Counter:
 
 
 class TestTreeEngines:
-    def test_make_tree_engine_rejects_unknown_kind(self, library):
-        _, placement, net = star_setup(library)
-        graph = build_routing_graph(net, placement, {})
-        with pytest.raises(ValueError):
-            make_tree_engine("nope", graph)
-
     def test_off_tree_candidate_is_fast_path(self, library):
         _, placement, net = star_setup(library)
         graph = build_routing_graph(net, placement, {})
@@ -255,6 +250,19 @@ class TestTreeEngines:
         assert runs.value == 0
         assert traversals.value == 1
 
+    def test_router_binds_production_or_oracle_engine(self):
+        router = _prepared_router(3)
+        oracle = _prepared_router(3, full_trees=True)
+        for each, engine_type in (
+            (router, IncrementalTreeEngine),
+            (oracle, FullTreeEngine),
+        ):
+            each._init_density_and_trees()
+            engines = {
+                type(state.tree_engine) for state in each.states.values()
+            }
+            assert engines == {engine_type}
+
     def test_essential_candidate_returns_none(self, library):
         _, placement, net = star_setup(library)
         graph = build_routing_graph(net, placement, {})
@@ -269,7 +277,9 @@ class TestTreeEngines:
         assert incremental.evaluate(essential) is None
 
 
-def _prepared_router(circuit_seed: int) -> GlobalRouter:
+def _prepared_router(circuit_seed: int, **oracle) -> GlobalRouter:
+    """A router through graph build; ``oracle`` keywords (see
+    :class:`repro.reference.OracleRouter`) make it the oracle router."""
     spec = DatasetSpec(
         f"tree{circuit_seed}",
         CircuitSpec(
@@ -285,11 +295,13 @@ def _prepared_router(circuit_seed: int) -> GlobalRouter:
         n_constraints=4,
     )
     dataset = make_dataset(spec)
-    router = GlobalRouter(
+    router_type = OracleRouter if oracle else GlobalRouter
+    router = router_type(
         dataset.circuit,
         dataset.placement,
         dataset.constraints,
         RouterConfig(),
+        **oracle,
     )
     router._build_timing()
     router._assign_pins_and_feedthroughs()

@@ -2,16 +2,19 @@
 
 The :class:`IncrementalTreeEngine`'s contract is *bit-identical*
 reproduction of the full per-candidate Dijkstra: on every standard-suite
-design the two engines must produce the identical deletion sequence —
-same net, same edge id, same order, same winning criterion — and the
-identical final routing, through the complete Fig. 2 flow and through a
-standalone AREA-mode deletion loop.
+design the production router and the full-Dijkstra oracle
+(:class:`repro.reference.OracleRouter` binding ``FullTreeEngine``) must
+produce the identical deletion sequence — same net, same edge id, same
+order, same winning criterion — and the identical final routing,
+through the complete Fig. 2 flow and through a standalone AREA-mode
+deletion loop.
 
-These tests route every design twice, so they are slow; they are the
-acceptance gate for ``RouterConfig.tree_engine`` and must not be
-skipped casually.
+The production routes come from the session's ``suite_routes`` fixture
+(shared with the selection and reclassify suites); the oracle routes
+every design once more here.  These tests are the acceptance gate for
+the production tree engine and must not be skipped casually.
 
-Both engines here run under the default incremental graph
+Both routers here run under the default incremental graph
 reclassification; ``tests/test_reclassify_equivalence.py`` is the
 companion suite pinning that axis (incremental vs full-Tarjan
 reclassify) to the same bit-identity bar.
@@ -19,84 +22,26 @@ reclassify) to the same bit-identity bar.
 
 import pytest
 
-from repro.bench.circuits import make_dataset, standard_suite
-from repro.core import GlobalRouter, RouterConfig
-from repro.core.selection import SelectionMode
-from repro.obs import MemorySink
+from conftest import SUITE_DESIGNS
 
-DESIGNS = [spec.name for spec in standard_suite()]
-_SPECS = {spec.name: spec for spec in standard_suite()}
+FULL_TREES = {"rescan": False, "full_trees": True}
 
 
-def _deletion_events(sink):
-    return [
-        (
-            e.data["net"],
-            e.data["edge"],
-            e.data["criterion"],
-            e.data["depth"],
-            e.data["phase"],
-        )
-        for e in sink.of_kind("edge_deleted")
-    ]
-
-
-def _route(design, engine):
-    """Full route of one design under one tree engine."""
-    dataset = make_dataset(_SPECS[design])
-    sink = MemorySink()
-    router = GlobalRouter(
-        dataset.circuit,
-        dataset.placement,
-        dataset.constraints,
-        RouterConfig(tree_engine=engine),
-        trace_sink=sink,
-    )
-    result = router.route()
-    final_trees = {
-        name: (
-            state.cl_pf,
-            None
-            if state.tree is None
-            else (
-                state.tree.total_length_um,
-                frozenset(state.tree.edge_ids),
-            ),
-        )
-        for name, state in router.states.items()
-    }
-    return _deletion_events(sink), result, router.metrics.flat(), final_trees
-
-
-def _area_loop(design, engine):
-    """Standalone AREA-mode deletion loop over all lead states."""
-    dataset = make_dataset(_SPECS[design])
-    sink = MemorySink()
-    router = GlobalRouter(
-        dataset.circuit,
-        dataset.placement,
-        dataset.constraints,
-        RouterConfig(tree_engine=engine),
-        trace_sink=sink,
-    )
-    router._build_timing()
-    router._assign_pins_and_feedthroughs()
-    router._build_routing_graphs()
-    router._init_density_and_trees()
-    router._deletion_loop(router._lead_states(), SelectionMode.AREA)
-    return _deletion_events(sink)
-
-
-@pytest.fixture(scope="module", params=DESIGNS)
-def routed_pair(request):
-    """One design routed under both tree engines."""
+@pytest.fixture(scope="module", params=SUITE_DESIGNS)
+def routed_pair(request, suite_routes):
+    """One design routed by the full-Dijkstra oracle and by production."""
     design = request.param
-    return design, _route(design, "full"), _route(design, "incremental")
+    return (
+        design,
+        suite_routes.route(design, **FULL_TREES),
+        suite_routes.route(design),
+    )
 
 
 class TestFullRouteEquivalence:
     def test_deletion_sequence_identical(self, routed_pair):
-        design, (seq_full, _, _, _), (seq_inc, _, _, _) = routed_pair
+        design, full, incremental = routed_pair
+        seq_full, seq_inc = full.events, incremental.events
         assert seq_inc == seq_full, (
             f"{design}: incremental tree engine diverged from the full "
             f"baseline at index "
@@ -104,7 +49,8 @@ class TestFullRouteEquivalence:
         )
 
     def test_results_identical(self, routed_pair):
-        design, (_, res_full, _, _), (_, res_inc, _, _) = routed_pair
+        design, full, incremental = routed_pair
+        res_full, res_inc = full.result, incremental.result
         assert res_inc.deletions == res_full.deletions
         assert res_inc.reroutes == res_full.reroutes
         assert res_inc.total_length_um == res_full.total_length_um
@@ -115,11 +61,12 @@ class TestFullRouteEquivalence:
         assert res_inc.constraint_margins == res_full.constraint_margins
 
     def test_final_trees_bit_identical(self, routed_pair):
-        design, (_, _, _, trees_full), (_, _, _, trees_inc) = routed_pair
-        assert trees_inc == trees_full
+        design, full, incremental = routed_pair
+        assert incremental.trees == full.trees
 
     def test_incremental_never_runs_more_dijkstras(self, routed_pair):
-        design, (_, _, m_full, _), (_, _, m_inc, _) = routed_pair
+        design, full, incremental = routed_pair
+        m_full, m_inc = full.metrics, incremental.metrics
         assert (
             m_inc["router.tree_dijkstra_runs"]
             <= m_full["router.tree_dijkstra_runs"]
@@ -130,10 +77,12 @@ class TestFullRouteEquivalence:
         )
 
     def test_fast_path_actually_fires(self, routed_pair):
-        design, _, (_, _, m_inc, _) = routed_pair
-        assert m_inc["router.tree_fastpath_hits"] > 0
+        design, _, incremental = routed_pair
+        assert incremental.metrics["router.tree_fastpath_hits"] > 0
 
 
-@pytest.mark.parametrize("design", DESIGNS)
-def test_area_mode_sequence_identical(design):
-    assert _area_loop(design, "incremental") == _area_loop(design, "full")
+@pytest.mark.parametrize("design", SUITE_DESIGNS)
+def test_area_mode_sequence_identical(design, suite_routes):
+    assert suite_routes.area_loop(design) == suite_routes.area_loop(
+        design, **FULL_TREES
+    )
