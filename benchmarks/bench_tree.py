@@ -20,7 +20,8 @@ engines or the incremental engine runs *more* Dijkstras than the full
 one — the cheap always-on guard CI runs on every push.  The full mode
 additionally checks the acceptance bar on the largest design (C3P1):
 ≥3× fewer **repeat** Dijkstra runs per deletion, and reduced wall
-clock.
+clock — the minimum of ``WALL_REPEATS`` alternating same-process runs
+per engine, since one run of each is within this box's noise.
 
 Why repeats?  Both engines share an irreducible floor: the initial
 shortest-path-union build of every routing graph, and the first-ever
@@ -47,6 +48,9 @@ from repro.reference import OracleRouter
 
 LARGEST = "C3P1"
 REQUIRED_REPEAT_SPEEDUP = 3.0
+# Runs per engine behind the C3P1 wall gate, alternating full and
+# incremental in one process; the gate compares the minima.
+WALL_REPEATS = 3
 
 
 def route_once(spec, full=False):
@@ -136,6 +140,17 @@ def compare_design(spec):
             f"({incremental['repeat_runs']} > {full['repeat_runs']})"
         )
     return full, incremental, failures
+
+
+def min_walls(spec, full, incremental, repeats=WALL_REPEATS):
+    """Minimum ``route()`` wall per engine over ``repeats`` alternating
+    runs, the comparison runs ``full``/``incremental`` counted first."""
+    walls_full = [full["wall_s"]]
+    walls_incremental = [incremental["wall_s"]]
+    for _ in range(repeats - 1):
+        walls_full.append(route_once(spec, full=True)["wall_s"])
+        walls_incremental.append(route_once(spec)["wall_s"])
+    return min(walls_full), min(walls_incremental)
 
 
 def repeats_per_deletion(run):
@@ -248,11 +263,18 @@ def main(argv=None):
                     f"{speedup:.2f}x below the required "
                     f"{REQUIRED_REPEAT_SPEEDUP:.0f}x"
                 )
-            if incremental["wall_s"] > full["wall_s"]:
+            wall_full, wall_incremental = min_walls(
+                spec, full, incremental
+            )
+            print(
+                f"{LARGEST} min wall of {WALL_REPEATS} alternating runs: "
+                f"full {wall_full:.2f}s, incremental {wall_incremental:.2f}s"
+            )
+            if wall_incremental > wall_full:
                 failures.append(
                     f"{LARGEST}: incremental wall clock not reduced "
-                    f"({incremental['wall_s']:.2f}s vs "
-                    f"{full['wall_s']:.2f}s full)"
+                    f"(min of {WALL_REPEATS}: {wall_incremental:.2f}s vs "
+                    f"{wall_full:.2f}s full)"
                 )
     if args.json is not None:
         snapshot = {

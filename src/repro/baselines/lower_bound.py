@@ -57,9 +57,30 @@ def hpwl_length_um(
     channel_tracks: Optional[Mapping[int, int]] = None,
 ) -> float:
     """Half-perimeter wire length of one net in µm (see module docs)."""
+    row_y, height = _chip_geometry(placement, technology, channel_tracks)
+    return _hpwl_um(net, placement, technology, row_y, height)
+
+
+def _chip_geometry(
+    placement: Placement,
+    technology: Technology,
+    channel_tracks: Optional[Mapping[int, int]],
+) -> Tuple[List[float], float]:
+    """Row bottoms and chip height under the given track counts."""
     tracks = dict(channel_tracks or {})
-    row_y = row_base_y_um(placement, tracks, technology)
-    height = chip_height_um(placement, tracks, technology)
+    return (
+        row_base_y_um(placement, tracks, technology),
+        chip_height_um(placement, tracks, technology),
+    )
+
+
+def _hpwl_um(
+    net: Net,
+    placement: Placement,
+    technology: Technology,
+    row_y: List[float],
+    height: float,
+) -> float:
     xs: List[float] = []
     bottoms: List[float] = []
     tops: List[float] = []
@@ -82,11 +103,14 @@ def hpwl_caps(
     width_cap_exponent: float = 1.0,
     channel_tracks: Optional[Mapping[int, int]] = None,
 ) -> WireCaps:
-    """Per-net lower-bound wiring capacitances from HPWL lengths."""
+    """Per-net lower-bound wiring capacitances from HPWL lengths.
+
+    The chip geometry is computed once per call, not once per net."""
     model = CapacitanceDelayModel(technology, width_cap_exponent)
+    row_y, height = _chip_geometry(placement, technology, channel_tracks)
     caps = WireCaps()
     for net in circuit.routable_nets:
-        length = hpwl_length_um(net, placement, technology, channel_tracks)
+        length = _hpwl_um(net, placement, technology, row_y, height)
         caps.set(net, model.wire_cap_pf(length, net.width_pitches))
     return caps
 

@@ -184,7 +184,7 @@ class Placement:
             highs.append(max(channels))
         lo_reach = min(highs)   # every channel <= some pin's top access
         hi_reach = max(lows)
-        return [r for r in range(self.n_rows) if lo_reach <= r < hi_reach]
+        return list(range(max(lo_reach, 0), min(hi_reach, self.n_rows)))
 
     def net_feedthrough_rows(self, net: Net) -> List[int]:
         """Crossing rows with no net terminal — these need a feedthrough."""
@@ -241,13 +241,14 @@ class Placement:
     ) -> None:
         """Apply many ``(index, cells)`` insertions to one row at once.
 
-        ``placements`` must be ordered right-to-left (descending index,
-        as :meth:`~repro.layout.feedcell.FeedCellInserter` computes
-        them against the pre-insertion list), so each splice lands
-        where a sequential :meth:`insert_cells` loop would have put it
-        — but the O(row suffix) position repack runs **once** from the
-        leftmost splice instead of once per block, which is what kept
-        feed-cell insertion quadratic on scale-tier chips.
+        ``placements`` must be ordered right-to-left (non-increasing
+        index, as :meth:`~repro.layout.feedcell.FeedCellInserter`
+        computes them against the pre-insertion list), so each block
+        lands where a sequential :meth:`insert_cells` loop would have
+        put it — but the row is rebuilt in one merge and the O(row
+        suffix) position repack runs **once** from the leftmost splice
+        instead of once per block, which is what kept feed-cell
+        insertion quadratic on scale-tier chips.
         """
         self._check_row(row)
         row_cells = self.rows[row]
@@ -259,14 +260,28 @@ class Placement:
                         f"cell {cell.name} placed more than once"
                     )
                 seen.add(cell.name)
-        lowest = len(row_cells)
-        for index, cells in placements:
+        previous = len(row_cells)
+        for index, _ in placements:
             if not (0 <= index <= len(row_cells)):
                 raise PlacementError(
                     f"insertion index {index} out of range for row {row}"
                 )
-            row_cells[index:index] = list(cells)
-            lowest = min(lowest, index)
+            if index > previous:
+                raise PlacementError(
+                    f"row {row}: insertion indices must not increase"
+                )
+            previous = index
+        # One left-to-right merge: walking the blocks in reverse puts a
+        # later block at an equal index first, as its splice would.
+        merged: List[Cell] = []
+        start = 0
+        for index, cells in reversed(placements):
+            merged.extend(row_cells[start:index])
+            merged.extend(cells)
+            start = index
+        merged.extend(row_cells[start:])
+        row_cells[:] = merged
+        lowest = previous
         if lowest == 0:
             x = 0
         else:
@@ -317,6 +332,12 @@ class Placement:
         return [
             self.placed(cell) for cell in self.rows[row] if cell.is_feed
         ]
+
+    def feed_columns_in_row(self, row: int) -> List[int]:
+        """Left columns of one row's feed cells, left to right."""
+        self._check_row(row)
+        position = self._position
+        return [position[c.name][1] for c in self.rows[row] if c.is_feed]
 
     def _check_row(self, row: int) -> None:
         if not (0 <= row < len(self.rows)):

@@ -19,7 +19,16 @@ them:
   that runs the rescan selector and/or binds
   :class:`~repro.routegraph.tree_engine.FullTreeEngine` (one full
   Dijkstra per evaluation).  Either swap routes bit-identically to the
-  production router.
+  production router;
+* :func:`scan_find_group` and :func:`scan_assign_all` — the seed's
+  feedthrough search, which scans a row's every slot per request, and
+  its assignment pass, which recomputes each net's requests from the
+  placement; the referees of the free-slot index and the once-per-net
+  requests of :mod:`repro.layout.feedthrough`;
+* :func:`scan_route_channel` — the seed's left-edge channel router,
+  which re-tests every unplaced segment's predecessors per track; the
+  referee of the counter-driven
+  :func:`~repro.channelrouter.leftedge.route_channel`.
 
 Nothing in the ``repro`` package imports this module (a tier-1 test
 scans the source to keep it that way); it is not a configuration
@@ -28,8 +37,14 @@ option, so it adds nothing to ``RouterConfig`` or to cache keys.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from .channelrouter.leftedge import (
+    ChannelResult,
+    ChannelSegment,
+    _split_segment,
+    _vertical_constraints,
+)
 from .core.criteria import (
     DelayCriteria,
     NetTimingContext,
@@ -39,6 +54,13 @@ from .core.criteria import (
 from .core.router import GlobalRouter, _NetState
 from .core.selection import SelectionMode, selection_key
 from .errors import RoutingError
+from .layout.feedthrough import (
+    FeedthroughAssignment,
+    FeedthroughPlanner,
+    RowSlots,
+    SlotRequest,
+)
+from .netlist.circuit import Net
 from .routegraph.tree_engine import FullTreeEngine
 from .timing.sta import ConstraintTiming
 
@@ -237,3 +259,157 @@ class OracleRouter(GlobalRouter):
         )
         state.cl_if_deleted[edge_id] = (cl, engine.version)
         return cl
+
+
+# ----------------------------------------------------------------------
+# Feedthrough assignment (Sections 3.1, 4.2, 4.3)
+# ----------------------------------------------------------------------
+def scan_find_group(
+    slots: RowSlots, x_target: int, width: int, strict_flags: bool
+) -> Optional[int]:
+    """The seed's :meth:`RowSlots.find_group`: every free group of the
+    row is a candidate, the nearest to ``x_target`` wins, ties go to the
+    smaller column.  Reads only the row's ``columns``, ``flag``,
+    ``occupant`` and ``flagged_groups``, never its free-slot index."""
+    candidates: List[int] = []
+    if width == 1:
+        candidates.extend(
+            c
+            for c in slots.columns
+            if slots.flag[c] is None and slots.occupant[c] is None
+        )
+    else:
+        candidates.extend(
+            g.start
+            for g in slots.flagged_groups
+            if g.width == width
+            and all(slots.occupant[c] is None for c in g.columns)
+        )
+        if not strict_flags:
+            candidates.extend(_scan_unflagged_runs(slots, width))
+    if not candidates:
+        return None
+    return min(
+        candidates,
+        key=lambda start: (
+            abs(start + (width - 1) / 2.0 - x_target),
+            start,
+        ),
+    )
+
+
+def _scan_unflagged_runs(slots: RowSlots, width: int) -> List[int]:
+    starts: List[int] = []
+    run: List[int] = []
+    for column in slots.columns:
+        usable = (
+            slots.flag[column] is None and slots.occupant[column] is None
+        )
+        if not usable:
+            run = []
+            continue
+        if run and column != run[-1] + 1:
+            run = []
+        run.append(column)
+        if len(run) >= width:
+            starts.append(run[-width])
+    return starts
+
+
+def _scan_requests(
+    planner: FeedthroughPlanner, net: Net
+) -> List[SlotRequest]:
+    """The seed's per-call request computation, from the placement."""
+    if net.is_differential and net.name > net.diff_partner.name:
+        return []
+    width = planner.corridor_width(net)
+    rows = set(planner.placement.net_feedthrough_rows(net))
+    if net.is_differential:
+        rows |= set(planner.placement.net_feedthrough_rows(net.diff_partner))
+    return [SlotRequest(net, row, width) for row in sorted(rows)]
+
+
+def scan_assign_all(
+    planner: FeedthroughPlanner, ordered_nets: Sequence[Net]
+) -> FeedthroughAssignment:
+    """The seed's :meth:`FeedthroughPlanner.assign_all` on ``planner``'s
+    rows: requests recomputed per net, every search a full row scan."""
+    result = FeedthroughAssignment()
+    for net in ordered_nets:
+        target = planner.placement.net_center_column(net)
+        for request in _scan_requests(planner, net):
+            row_slots = planner.rows[request.row]
+            start = scan_find_group(
+                row_slots, target, request.width, planner.strict_flags
+            )
+            if start is None:
+                result.failures.append(request)
+                continue
+            row_slots.occupy(start, request.width, net)
+            planner._record_grant(net, request.row, start, result)
+            target = start
+    return result
+
+
+# ----------------------------------------------------------------------
+# Left-edge channel routing
+# ----------------------------------------------------------------------
+def scan_route_channel(
+    channel: int,
+    segments: Sequence[ChannelSegment],
+    throughs: Mapping[str, List[int]],
+    allow_doglegs: bool = True,
+) -> ChannelResult:
+    """The seed's :func:`~repro.channelrouter.leftedge.route_channel`:
+    per track, every unplaced segment's predecessors are re-tested."""
+    ordered = sorted(segments, key=lambda s: (s.interval.lo, s.interval.hi))
+    predecessors, pin_conflicts = _vertical_constraints(ordered)
+
+    unplaced: List[ChannelSegment] = list(ordered)
+    placed: List[ChannelSegment] = []
+    placed_keys: Set[Tuple] = set()
+    track = 0
+    breaks = 0
+    doglegs = 0
+    while unplaced:
+        track += 1
+        eligible = [
+            s
+            for s in unplaced
+            if all(p in placed_keys for p in predecessors.get(s.key, ()))
+        ]
+        if not eligible:
+            victim = unplaced[0]
+            if allow_doglegs and _split_segment(victim, unplaced):
+                doglegs += 1
+                unplaced.sort(key=lambda s: (s.interval.lo, s.interval.hi))
+                predecessors, _ = _vertical_constraints(placed + unplaced)
+            else:
+                predecessors[victim.key] = set()
+                breaks += 1
+            track -= 1
+            continue
+        last_end = None
+        chosen: List[ChannelSegment] = []
+        for segment in eligible:
+            if last_end is None or segment.interval.lo > last_end:
+                chosen.append(segment)
+                last_end = segment.interval.hi
+        for segment in chosen:
+            segment.track = track
+            placed_keys.add(segment.key)
+            placed.append(segment)
+            unplaced.remove(segment)
+
+    through_counts = {
+        net: len(columns) for net, columns in throughs.items() if columns
+    }
+    return ChannelResult(
+        channel=channel,
+        tracks=track,
+        segments=list(placed),
+        through_columns=through_counts,
+        constraint_breaks=breaks,
+        pin_conflicts=pin_conflicts,
+        dogleg_splits=doglegs,
+    )

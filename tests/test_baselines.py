@@ -68,6 +68,31 @@ class TestHpwl:
             caps.get(net) > 0 for net in circuit.routable_nets
         )
 
+    @pytest.mark.parametrize("tracks", [None, "tall"])
+    def test_caps_equal_per_net_lengths_exactly(self, tracks):
+        """``hpwl_caps`` reads the chip geometry once per call; every cap
+        is still the one ``hpwl_length_um`` gives that net alone."""
+        from repro.bench.circuits import make_dataset, standard_suite
+        from repro.timing.delay_model import CapacitanceDelayModel
+
+        spec = next(s for s in standard_suite() if s.name == "C1P1")
+        dataset = make_dataset(spec)
+        circuit, placement = dataset.circuit, dataset.placement
+        assign_external_pins(circuit, placement)
+        tech = Technology()
+        if tracks == "tall":
+            tracks = {c: 3 + c % 5 for c in range(placement.n_channels)}
+        model = CapacitanceDelayModel(tech, 0.5)
+        caps = hpwl_caps(circuit, placement, tech, 0.5, tracks)
+        expected = {
+            net.name: model.wire_cap_pf(
+                hpwl_length_um(net, placement, tech, tracks),
+                net.width_pitches,
+            )
+            for net in circuit.routable_nets
+        }
+        assert caps.as_dict() == expected
+
     def test_lower_bound_below_routed_delay(self, library):
         from conftest import route_chain
         from repro.channelrouter import route_channels

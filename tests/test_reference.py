@@ -3,8 +3,10 @@
 Two guarantees keep the oracles honest yardsticks:
 
 * **isolation** — no module of the ``repro`` package other than
-  ``repro/reference.py`` itself imports the oracle module or its scalar
-  entry points, so production has one path per layer;
+  ``repro/reference.py`` itself imports the oracle module or its entry
+  points (the scalar criteria, the rescan selector, the scanning
+  feedthrough search and assignment, the rescanning left-edge router),
+  so production has one path per layer;
 * **seed cost** — the oracles do exactly the seed's work.  The rescan
   oracle's key evaluations and the full-tree oracle's Dijkstra runs on
   the smoke design S1P1 equal the counts in the committed A/B snapshots
@@ -25,7 +27,13 @@ from repro.reference import OracleRouter
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "repro"
-ORACLE_NAMES = {"RescanSelector", "evaluate_delay_criteria"}
+ORACLE_NAMES = {
+    "RescanSelector",
+    "evaluate_delay_criteria",
+    "scan_find_group",
+    "scan_assign_all",
+    "scan_route_channel",
+}
 
 
 def _oracle_imports(source: str, package: str):
@@ -78,6 +86,10 @@ def test_only_the_oracle_module_imports_the_oracles():
         ("from .criteria import evaluate_delay_criteria", 1),
         ("from .criteria import evaluate_delay_criteria_batch", 0),
         ("from ..routegraph.tree_engine import FullTreeEngine", 0),
+        ("from ..reference import scan_route_channel", 2),
+        ("from repro.reference import scan_find_group, scan_assign_all", 3),
+        ("from ..layout.feedthrough import RowSlots", 0),
+        ("from ..channelrouter.leftedge import route_channel", 0),
     ],
 )
 def test_guard_sees_every_spelling(source, expected):
