@@ -126,6 +126,24 @@ class TestPairedAssignment:
         slot_n = result.of_net(n)[1]
         assert abs(slot_n.x - slot_p.x) == 1
 
+    def test_release_through_either_net_frees_the_pair(self, library):
+        """A rip-up re-occupies a pair's slots under each net's own
+        name; releasing through either net of the pair frees them all."""
+        circuit, placement, p, n = diff_circuit(library, rows=3)
+        for releaser in (p, n):
+            planner = FeedthroughPlanner(circuit, placement)
+            result = planner.assign_all([p, n])
+            planner.release_net(p)
+            for net in (p, n):
+                for row, slot in result.of_net(net).items():
+                    planner.rows[row].occupy(slot.x, slot.width, net)
+            planner.release_net(releaser)
+            assert all(
+                owner is None
+                for row_slots in planner.rows
+                for owner in row_slots.occupant.values()
+            )
+
     def test_trailing_net_requests_nothing(self, library):
         circuit, placement, p, n = diff_circuit(library, rows=3)
         planner = FeedthroughPlanner(circuit, placement)

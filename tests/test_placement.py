@@ -226,6 +226,29 @@ class TestInsertCellBlocks:
         assert [c.name for c in placement.rows[0]] == ["a", "b"]
         assert placement.location_of(b) == (0, 5)
 
+    def test_increasing_indices_rejected_before_mutation(self, circuit):
+        """Blocks are merged in one pass, which matches sequential
+        splices only for right-to-left indices."""
+        a, b = circuit.cell("a"), circuit.cell("b")
+        feeds = self._feeds(circuit, 2)
+        placement = Placement(circuit, [[a, b]])
+        with pytest.raises(PlacementError):
+            placement.insert_cell_blocks(0, [(0, feeds[:1]), (1, feeds[1:])])
+        assert [c.name for c in placement.rows[0]] == ["a", "b"]
+
+    def test_equal_indices_match_sequential_insert_cells(self, circuit):
+        a, b = circuit.cell("a"), circuit.cell("b")
+        feeds = self._feeds(circuit, 3)
+        blocks = [(1, feeds[:1]), (1, feeds[1:2]), (0, feeds[2:])]
+        seq = Placement(circuit, [[a, b]])
+        for index, cells in blocks:
+            seq.insert_cells(0, index, cells)
+        batched = Placement(circuit, [[a, b]])
+        batched.insert_cell_blocks(0, blocks)
+        assert [c.name for c in batched.rows[0]] == [
+            c.name for c in seq.rows[0]
+        ]
+
     def test_already_placed_cell_rejected(self, circuit):
         a, b = circuit.cell("a"), circuit.cell("b")
         placement = Placement(circuit, [[a, b]])
